@@ -29,7 +29,6 @@ from scipy.optimize import brentq
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from hypcircle.geometry import Point
-from hypcircle.specfun import bessel_k_imag_scaled
 from hypcircle.spectral.data import (
     SpectralDatum,
     SpectralDataset,
@@ -37,7 +36,8 @@ from hypcircle.spectral.data import (
     dump_spectral_data,
     normalize_l2,
     pullback,
-    _hecke_value_scaled,
+    _bessel_row_scaled,
+    _hecke_row_scaled,
 )
 
 T_MIN, T_MAX = 9.0, 26.8
@@ -60,10 +60,7 @@ def solve_coeffs(t: float, parity: str, M: int, Y: float, Q: int) -> np.ndarray:
         ys_star[i] = p.y
 
     n = np.arange(1, M + 1)
-    kappa_star = np.empty((Q, M))
-    for i in range(Q):
-        args = 2.0 * math.pi * ys_star[i] * n
-        kappa_star[i] = [bessel_k_imag_scaled(t, float(v)) for v in args]
+    kappa_star = np.array([_bessel_row_scaled(t, y, M) for y in ys_star])
     if parity == "even":
         tr_star = 2.0 * np.cos(2.0 * math.pi * np.outer(xs_star, n))
         tr_grid = np.cos(np.outer(n, theta))
@@ -72,9 +69,7 @@ def solve_coeffs(t: float, parity: str, M: int, Y: float, Q: int) -> np.ndarray:
         tr_grid = np.sin(np.outer(n, theta))
     phi_terms = np.sqrt(ys_star)[:, None] * kappa_star * tr_star  # (Q, M)
     V = (2.0 / Q) * tr_grid @ phi_terms  # (M, M): row k, column n
-    c = 2.0 * math.sqrt(Y) * np.array(
-        [bessel_k_imag_scaled(t, 2.0 * math.pi * Y * float(k)) for k in n]
-    )
+    c = 2.0 * math.sqrt(Y) * _bessel_row_scaled(t, Y, M)
     A = V - np.diag(c)
     sol, *_ = np.linalg.lstsq(A[:, 1:], -A[:, 0], rcond=None)
     return np.concatenate([[1.0], sol])
@@ -141,8 +136,8 @@ def automorphy_residual(datum: SpectralDatum, rng) -> float:
         n_zs = int(math.ceil(bessel_decay_cutoff(datum.t) / (2.0 * math.pi * zs.y)))
         if max(n_z, n_zs) > datum.coeffs.size:
             continue
-        v1 = _hecke_value_scaled(datum, z.x, z.y, n_z)
-        v2 = _hecke_value_scaled(datum, zs.x, zs.y, n_zs)
+        v1 = _hecke_row_scaled(datum, [z.x], z.y, n_z)[0]
+        v2 = _hecke_row_scaled(datum, [zs.x], zs.y, n_zs)[0]
         worst = max(worst, abs(v1 - v2))
     return worst
 

@@ -35,7 +35,7 @@ from .experiments import (
     variance_report,
     window_variance,
 )
-from .fracint import DEFAULT_STEP, SampledSeries
+from .fracint import DEFAULT_STEP, SampledSeries, _as_alpha
 from .geometry import Point
 from .spectral import (
     amplitude,
@@ -60,6 +60,13 @@ def _point(text: str) -> Point:
         raise ValidationError(f"bad point {text!r}, expected x,y") from exc
 
 
+def _floats(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+
+
 def _write_csv(path, grid, values):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("s,value\n")
@@ -73,8 +80,11 @@ def _read_csv(path) -> SampledSeries:
         if header != "s,value":
             raise ValidationError(f"{path}: expected header 's,value'")
         rows = [ln.split(",") for ln in fh.read().splitlines() if ln]
-    grid = np.array([float(r[0]) for r in rows])
-    vals = np.array([float(r[1]) for r in rows])
+    try:
+        grid = np.array([float(r[0]) for r in rows])
+        vals = np.array([float(r[1]) for r in rows])
+    except (IndexError, ValueError) as exc:
+        raise ValidationError(f"{path}: every row must hold two numbers s,value") from exc
     if grid.size < 2:
         raise ValidationError(f"{path}: need at least two samples")
     steps = np.diff(grid)
@@ -102,14 +112,19 @@ def cmd_count(args):
 
 
 def cmd_error_term(args):
-    distances = load_distances(args.cache, args.smax) if args.cache_in else None
+    if args.alpha is not None:
+        _as_alpha(args.alpha)  # reject a bad order before enumerating
+    if args.cache_in:
+        distances = load_distances(args.cache_in, args.smax)
+    else:
+        distances = list_distances(BallSpec(args.z, args.w, args.smax))
     if args.alpha is None:
         err = sample_error(args.z, args.w, args.smax, args.step, distances=distances)
     else:
         err = sample_e_alpha(args.z, args.w, args.alpha, args.smax, args.step,
                              method=args.method, distances=distances)
-    if args.cache and not args.cache_in:
-        save_distances(args.cache, list_distances(BallSpec(args.z, args.w, args.smax)))
+    if args.cache:
+        save_distances(args.cache, distances)
     _write_csv(args.out, err.grid, err.values)
 
 
@@ -172,8 +187,7 @@ def cmd_distribution(args):
 
 
 def cmd_hybrid(args):
-    T_values = [float(v) for v in args.Ts.split(",")]
-    points = hybrid_run(args.z, args.w, args.schedule, T_values, step=args.step)
+    points = hybrid_run(args.z, args.w, args.schedule, args.Ts, step=args.step)
     _emit({
         "T": [p.T for p in points],
         "alpha": [p.alpha for p in points],
@@ -258,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hybrid", help="vanishing-order schedule variances")
     add_zw(sp)
     sp.add_argument("--schedule", choices=["inv-sqrt", "inv-T"], default="inv-sqrt")
-    sp.add_argument("--Ts", required=True, help="comma-separated T values")
+    sp.add_argument("--Ts", type=_floats, required=True, help="comma-separated T values")
     sp.add_argument("--step", type=float, default=DEFAULT_STEP)
     sp.set_defaults(func=cmd_hybrid)
 

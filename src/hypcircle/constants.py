@@ -15,9 +15,6 @@ WEYL_AMPLITUDE_SUM_C = 0.15
 # sup_j |b_j| / t_j: measured 1.025 (the t=13.78 form dominates).
 AMPLITUDE_OVER_T_C = 2.0
 
-# sum |b_j|^2 / t_top^2: measured 0.859.
-WEYL_AMPLITUDE_SQ_C = 1.8
-
 # --- kernel transforms ------------------------------------------------------
 
 # |shc_frac - asymptotic| * |t|^{1+a} (1+sqrt|t|) over t in [5,100], s = 10,

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     BoundInsufficient,
-    IntegerOverflow,
     MemoryBudgetExceeded,
     RadiusTooLarge,
     ValidationError,
@@ -41,6 +40,7 @@ __all__ = [
     "DEFAULT_POINT_CAP",
 ]
 
+# Largest radius the enumeration accepts.
 DEFAULT_S_MAX = 30.0
 DEFAULT_POINT_CAP = 10**8
 
@@ -56,13 +56,10 @@ class BallSpec:
     z: Point
     w: Point
     s: float
-    group: str = "PSL2Z"
 
     def __post_init__(self):
         if not self.s >= 0.0:
             raise ValidationError(f"radius must be >= 0, got {self.s}")
-        if self.group != "PSL2Z":
-            raise ValidationError(f"unsupported group tag {self.group!r}")
 
 
 @dataclass(frozen=True)
@@ -91,15 +88,6 @@ class CountDiagnostics:
 
     rows_scanned: int
     boundary_ties: int
-
-
-def _require_radius(s: float, s_max: float):
-    if s > s_max:
-        raise RadiusTooLarge(f"radius {s} exceeds ceiling {s_max}")
-    # Row magnitudes stay around exp(s)*max(y_w,1/y_z); 64-bit integer
-    # translation indices stop being exact beyond 2^53-range products.
-    if s > 70.0:
-        raise IntegerOverflow(f"radius {s} would overflow 64-bit enumeration")
 
 
 def _bezout_tops(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,20 +167,22 @@ def _k_intervals(spec: BallSpec, x0: np.ndarray, y0: np.ndarray, guard: float):
     return k_lo, k_hi, counts
 
 
-def _identity_row_geometry(spec: BallSpec):
-    """The c=0 row (gamma = T^k): base point is w itself."""
-    return np.array([spec.w.x]), np.array([spec.w.y])
+def _orbit_rows(spec: BallSpec):
+    """Base orbit point (x0, y0) of every row that can meet the ball.
 
-
-def count_ball(spec: BallSpec, s_max: float = DEFAULT_S_MAX,
-               with_diagnostics: bool = False):
-    """Exact number of gamma in PSL(2,Z) with d(z, gamma w) <= s."""
-    _require_radius(spec.s, s_max)
+    The c=0 row (gamma = T^k, base point w itself) comes first, then the
+    rows of _enumerate_rows.
+    """
+    if spec.s > DEFAULT_S_MAX:
+        raise RadiusTooLarge(f"radius {spec.s} exceeds ceiling {DEFAULT_S_MAX}")
     c, d = _enumerate_rows(spec)
     x0, y0 = _row_geometry(spec, c, d)
-    xi, yi = _identity_row_geometry(spec)
-    x0 = np.concatenate([xi, x0])
-    y0 = np.concatenate([yi, y0])
+    return np.concatenate([[spec.w.x], x0]), np.concatenate([[spec.w.y], y0])
+
+
+def count_ball(spec: BallSpec, with_diagnostics: bool = False):
+    """Exact number of gamma in PSL(2,Z) with d(z, gamma w) <= s."""
+    x0, y0 = _orbit_rows(spec)
     _, _, counts = _k_intervals(spec, x0, y0, _BOUNDARY_GUARD)
     total = int(counts.sum())
     if not with_diagnostics:
@@ -204,15 +194,9 @@ def count_ball(spec: BallSpec, s_max: float = DEFAULT_S_MAX,
     return total, CountDiagnostics(rows_scanned=int(x0.size), boundary_ties=ties)
 
 
-def list_distances(spec: BallSpec, s_max: float = DEFAULT_S_MAX,
-                   point_cap: int = DEFAULT_POINT_CAP) -> DistanceMultiset:
+def list_distances(spec: BallSpec, point_cap: int = DEFAULT_POINT_CAP) -> DistanceMultiset:
     """All orbit distances d(z, gamma w) <= s, sorted ascending with multiplicity."""
-    _require_radius(spec.s, s_max)
-    c, d = _enumerate_rows(spec)
-    x0, y0 = _row_geometry(spec, c, d)
-    xi, yi = _identity_row_geometry(spec)
-    x0 = np.concatenate([xi, x0])
-    y0 = np.concatenate([yi, y0])
+    x0, y0 = _orbit_rows(spec)
     k_lo, k_hi, counts = _k_intervals(spec, x0, y0, _BOUNDARY_GUARD)
     total = int(counts.sum())
     if total > point_cap:

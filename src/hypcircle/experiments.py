@@ -19,13 +19,13 @@ from .errors import (
 )
 from .fracint import (
     DEFAULT_STEP,
-    FracOrder,
     SampledSeries,
+    _as_alpha,
     frac_exp_reference,
     frac_integrate,
 )
 from .geometry import Point
-from .spectral.terms import MODULAR_COVOLUME, f_alpha_sum, spectral_variance
+from .spectral.terms import _VOL_COEFF, f_alpha_sum, main_term, spectral_variance
 from .specfun import lower_incomplete_exp
 
 __all__ = [
@@ -47,7 +47,8 @@ __all__ = [
     "method_budget",
 ]
 
-_VOL_COEFF = math.pi / MODULAR_COVOLUME  # = 3 for the modular group
+# Grid samples at which the exact path is compared with the grid path.
+_CROSSCHECK_POINTS = 33
 
 
 @dataclass(frozen=True)
@@ -99,16 +100,14 @@ def sample_error(z: Point, w: Point, s_max: float, step: float = DEFAULT_STEP,
     n = int(math.floor(s_max / step + 1e-9)) + 1
     grid = step * np.arange(n)
     counts = np.searchsorted(distances.values, grid, side="right")
-    main = _VOL_COEFF * np.exp(grid)
-    vals = (counts - main) * np.exp(-0.5 * grid)
+    vals = (counts - main_term(grid)) * np.exp(-0.5 * grid)
     series = SampledSeries(0.0, step, vals)
     return ErrorSeries(series=series, z=z, w=w, alpha=None, method="count")
 
 
 def sample_e_alpha(z: Point, w: Point, order, s_max: float,
                    step: float = DEFAULT_STEP, method: str = "grid",
-                   distances: DistanceMultiset | None = None,
-                   crosscheck_points: int = 33) -> ErrorSeries:
+                   distances: DistanceMultiset | None = None) -> ErrorSeries:
     """Fractionally integrated normalized remainder on [0, s_max].
 
     method="grid" integrates the sampled e(s) with the product rule;
@@ -117,7 +116,7 @@ def sample_e_alpha(z: Point, w: Point, order, s_max: float,
     The exact path cross-checks the grid path at a few points and emits a
     MethodDisagreement warning when they differ by 10x the step budget.
     """
-    alpha = FracOrder(float(order)).alpha if not isinstance(order, FracOrder) else order.alpha
+    alpha = _as_alpha(order)
     if distances is None:
         distances = list_distances(BallSpec(z, w, s_max))
     if method == "grid":
@@ -130,17 +129,15 @@ def sample_e_alpha(z: Point, w: Point, order, s_max: float,
     grid = step * np.arange(n)
     vals = exact_e_alpha(distances, alpha, grid)
     series = SampledSeries(0.0, step, vals)
-    out = ErrorSeries(series=series, z=z, w=w, alpha=alpha, method="exact")
-    if crosscheck_points:
-        g = sample_e_alpha(z, w, alpha, s_max, step, "grid", distances=distances)
-        idx = np.linspace(0, n - 1, crosscheck_points).astype(int)
-        diff = float(np.max(np.abs(g.values[idx] - vals[idx])))
-        budget = method_budget(alpha, step)
-        if diff > 10.0 * budget:
-            warnings.warn(
-                f"grid/exact fractional error terms differ by {diff:.3e} "
-                f"(budget {budget:.3e})", MethodDisagreement)
-    return out
+    g = sample_e_alpha(z, w, alpha, s_max, step, "grid", distances=distances)
+    idx = np.linspace(0, n - 1, _CROSSCHECK_POINTS).astype(int)
+    diff = float(np.max(np.abs(g.values[idx] - vals[idx])))
+    budget = method_budget(alpha, step)
+    if diff > 10.0 * budget:
+        warnings.warn(
+            f"grid/exact fractional error terms differ by {diff:.3e} "
+            f"(budget {budget:.3e})", MethodDisagreement)
+    return ErrorSeries(series=series, z=z, w=w, alpha=alpha, method="exact")
 
 
 def exact_e_alpha(distances: DistanceMultiset, alpha: float,
@@ -296,7 +293,7 @@ def synthetic_series(amplitudes, order, L: float, step: float = 1.0 / 256.0,
     """The almost-periodic model sampled as a series on [start, start + L]."""
     n = int(round(L / step)) + 1
     out = np.empty(n)
-    alpha = FracOrder(float(order)).alpha if not isinstance(order, FracOrder) else order.alpha
+    alpha = _as_alpha(order)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         s = start + step * np.arange(lo, hi)

@@ -1,10 +1,11 @@
 """Riemann-Liouville fractional integration of sampled series.
 
 The discrete operator is product integration: within every grid cell the
-integrand is held at its left value and the kernel (x-t)^(alpha-1)/Gamma(alpha)
-is integrated exactly.  This keeps O(step) accuracy for smooth inputs and
-degrades gracefully to O(step^alpha) only at jump cells, which matters because
-lattice-point error terms jump at every orbit distance.
+integrand is interpolated linearly and the kernel (x-t)^(alpha-1)/Gamma(alpha)
+is integrated exactly (the fractional trapezoidal rule).  This keeps O(step^2)
+accuracy for smooth inputs and degrades gracefully to O(step^alpha) only at
+jump cells, which matters because lattice-point error terms jump at every
+orbit distance.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 from scipy.special import gammainc
 
 from .errors import DomainError, NonConvergence, ValidationError
@@ -23,7 +23,6 @@ __all__ = [
     "FracOrder",
     "SampledSeries",
     "frac_integrate",
-    "frac_weights",
     "frac_exp_reference",
     "frac_indicator_exp",
     "DEFAULT_STEP",
@@ -45,6 +44,7 @@ class FracOrder:
 
 
 def _as_alpha(order) -> float:
+    """The order as a float, validated through FracOrder."""
     return order.alpha if isinstance(order, FracOrder) else FracOrder(float(order)).alpha
 
 
@@ -72,45 +72,22 @@ class SampledSeries:
         return self.values.size
 
 
-def frac_weights(alpha: float, n: int, step: float) -> np.ndarray:
-    """Left-rule product-integration weights w_m = step^alpha (m^alpha - (m-1)^alpha) / Gamma(alpha+1)."""
-    m = np.arange(n, dtype=float)
-    pow_m = m ** alpha
-    w = np.empty(n)
-    w[0] = 0.0
-    w[1:] = (pow_m[1:] - pow_m[:-1]) * step ** alpha / math.gamma(alpha + 1.0)
-    return w
-
-
-def frac_integrate(series: SampledSeries, order, fast: bool = False,
-                   rule: str = "linear") -> SampledSeries:
+def frac_integrate(series: SampledSeries, order) -> SampledSeries:
     """Fractional integral of the series on its own grid, based at series.start.
 
-    rule="linear" interpolates each cell linearly and integrates the kernel
-    exactly (O(step^2) on smooth inputs, the fractional trapezoidal rule);
-    rule="left" holds the left value (O(step), slightly more robust constants
-    at jump cells).  With fast=True the weight convolution runs through an
-    FFT; the direct convolution is the default and the two are compared in
-    tests.
+    Each cell is interpolated linearly and the kernel integrated exactly
+    (O(step^2) on smooth inputs, the fractional trapezoidal rule).
     """
     alpha = _as_alpha(order)
     vals = series.values
     n = vals.size
-    conv = fftconvolve if fast else np.convolve
-    if rule == "left":
-        w = frac_weights(alpha, n + 1, series.step)
-        # output[j] = sum_{m=1..j} w[m] * values[j-m]; output[0] = 0
-        full = conv(vals, w)[:n]
-        return SampledSeries(series.start, series.step, full)
-    if rule != "linear":
-        raise ValidationError(f"unknown rule {rule!r}")
     r = np.arange(n + 1, dtype=float)
     pw = r ** (alpha + 1.0)
     a = np.empty(n)
     a[0] = 1.0
     if n > 1:
         a[1:] = pw[2:] - 2.0 * pw[1:-1] + pw[:-2]
-    full = conv(vals, a)[:n]
+    full = np.convolve(vals, a)[:n]
     # boundary cell: the first sample enters with weight c_{j,0}, not a_j
     j = np.arange(n, dtype=float)
     c0 = np.empty(n)

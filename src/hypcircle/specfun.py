@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,15 +25,11 @@ from .errors import (
 
 __all__ = [
     "complex_gamma",
-    "bessel_k_imag",
     "bessel_k_imag_scaled",
-    "BesselKResult",
     "gauss_2f1",
     "lower_incomplete_exp",
     "zeta_line",
     "gauss_legendre",
-    "integrate_gl",
-    "integrate_doubling",
 ]
 
 
@@ -47,35 +42,6 @@ def gauss_legendre(n: int):
     """Cached Gauss-Legendre nodes/weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def integrate_gl(f, a: float, b: float, n: int, panels: int = 1) -> float:
-    """Composite Gauss-Legendre quadrature with `panels` equal panels of n points."""
-    x, w = gauss_legendre(n)
-    edges = np.linspace(a, b, panels + 1)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        nodes = lo + (hi - lo) * x
-        total += (hi - lo) * np.sum(w * f(nodes))
-    return total
-
-
-def integrate_doubling(f, a: float, b: float, rel_tol: float = 1e-11,
-                       abs_floor: float = 1e-300, n0: int = 16,
-                       max_level: int = 12) -> float:
-    """Panel-doubling Gauss-Legendre integration until two refinements agree.
-
-    Raises NonConvergence when the doubling budget is exhausted.
-    """
-    prev = integrate_gl(f, a, b, n0, panels=1)
-    panels = 2
-    for _ in range(max_level):
-        cur = integrate_gl(f, a, b, n0, panels=panels)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), abs_floor):
-            return cur
-        prev = cur
-        panels *= 2
-    raise NonConvergence(f"quadrature on [{a}, {b}] did not converge to {rel_tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -129,18 +95,6 @@ def complex_gamma(z: complex) -> complex:
 # K-Bessel with imaginary order
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BesselKResult:
-    """Value of K_{it}(x) together with an underflow flag."""
-
-    value: float
-    underflowed: bool
-
-    def __float__(self):
-        return self.value
-
-
-_UNDERFLOW_ABS = 1e-300
 # Largest tolerated log-growth of ascending-series terms before the
 # accumulated cancellation would eat the 1e-10 accuracy target.
 _SERIES_MAX_LOG_GROWTH = 8.0
@@ -241,31 +195,6 @@ def bessel_k_imag_scaled(t: float, x: float) -> float:
     if _series_log_growth(t, x) <= _SERIES_MAX_LOG_GROWTH:
         return _besselk_series_scaled(t, x)
     return _besselk_mpmath_scaled(t, x)
-
-
-def bessel_k_imag(t: float, x: float) -> BesselKResult:
-    """K_{it}(x) for real order parameter t and x > 0, with underflow flag.
-
-    The returned flag is set when the true value is below 1e-300 and the
-    function returns 0; Fourier-expansion callers rely on it to truncate.
-    """
-    scaled = bessel_k_imag_scaled(t, x)
-    damp = math.exp(-0.5 * math.pi * abs(t))
-    value = scaled * damp
-    if value == 0.0 or abs(value) < _UNDERFLOW_ABS:
-        return BesselKResult(0.0, True)
-    return BesselKResult(value, False)
-
-
-def bessel_k_imag_scaled_many(t: float, xs) -> np.ndarray:
-    """Vectorized exp(pi t/2) K_{it}(x) over an array of x values."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.empty(xs.shape, dtype=float)
-    flat = xs.ravel()
-    res = out.ravel()
-    for i, x in enumerate(flat):
-        res[i] = bessel_k_imag_scaled(t, float(x))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ from .data import (
 from .transforms import shc_direct, h_r_closed, htilde, shc_frac, r_alpha, ShcFracResult, HrResult
 from .terms import (
     main_term,
-    main_term_alpha,
-    MainTermAlpha,
     spectral_variance,
     VarianceSum,
     f_alpha_sum,
@@ -39,8 +37,6 @@ __all__ = [
     "ShcFracResult",
     "HrResult",
     "main_term",
-    "main_term_alpha",
-    "MainTermAlpha",
     "spectral_variance",
     "VarianceSum",
     "f_alpha_sum",

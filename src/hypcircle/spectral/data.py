@@ -77,28 +77,16 @@ class SpectralDatum:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDataset:
-    """Forms sorted by spectral parameter, plus synthetic main-term inputs.
-
-    small_modes / zero_modes / cusp_values parameterize the secondary
-    main-term branches with constant eigenfunction values; the modular group
-    itself has none of these, so they default empty and are exercised only
-    with synthetic data.
-    """
+    """Forms sorted by spectral parameter, with the group tag and provenance."""
 
     group: str
     forms: tuple
     source: str = ""
-    small_modes: tuple = ()  # (r, mode_value): eigenvalue 1/4 - r^2, r in (0, 1/2)
-    zero_modes: tuple = ()  # mode_value for eigenvalue 1/4 (t = 0)
-    cusp_values: tuple = ()  # per-cusp boundary value at the central point
 
     def __post_init__(self):
         ts = [f.t for f in self.forms]
         if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
             raise ValidationError("spectral parameters must be strictly increasing")
-        for r, _ in self.small_modes:
-            if not 0.0 < r < 0.5:
-                raise ValidationError(f"small-mode parameter must lie in (0, 1/2), got {r}")
 
     def __len__(self):
         return len(self.forms)
@@ -240,27 +228,19 @@ def maass_value(datum: SpectralDatum, z: Point) -> float:
             required=needed,
         )
     rho_scaled = ensure_l2norm(datum) * math.exp(-0.5 * math.pi * datum.t)
-    return rho_scaled * _hecke_value_scaled(datum, z.x, z.y, needed)
+    return rho_scaled * float(_hecke_row_scaled(datum, [z.x], z.y, needed)[0])
 
 
-def _hecke_value_scaled(datum: SpectralDatum, x: float, y: float, n_terms: int) -> float:
-    """sqrt(y) sum a_n [e^{pi t/2} K_{it}(2 pi n y)] tr(2 pi n x)."""
-    t = datum.t
+def _bessel_row_scaled(t: float, y: float, n_terms: int) -> np.ndarray:
+    """exp(pi t/2) K_{it}(2 pi n y) for n = 1..n_terms."""
+    return np.array([bessel_k_imag_scaled(t, 2.0 * math.pi * y * n)
+                     for n in range(1, n_terms + 1)])
+
+
+def _hecke_row_scaled(datum: SpectralDatum, xs, y: float, n_terms: int) -> np.ndarray:
+    """sqrt(y) sum a_n [e^{pi t/2} K_{it}(2 pi n y)] tr(2 pi n x) for each x in xs."""
     n = np.arange(1, n_terms + 1)
-    xs = 2.0 * math.pi * y * n
-    kvals = np.array([bessel_k_imag_scaled(t, float(v)) for v in xs])
-    phase = 2.0 * math.pi * x * n
-    tr = 2.0 * np.cos(phase) if datum.parity == "even" else 2.0 * np.sin(phase)
-    return math.sqrt(y) * float(np.sum(datum.coeffs[:n_terms] * kvals * tr))
-
-
-def _hecke_row_scaled(datum: SpectralDatum, xs: np.ndarray, y: float,
-                      n_terms: int) -> np.ndarray:
-    """Vectorized _hecke_value_scaled over an array of x at fixed height y."""
-    t = datum.t
-    n = np.arange(1, n_terms + 1)
-    kvals = np.array([bessel_k_imag_scaled(t, 2.0 * math.pi * y * float(m)) for m in n])
-    weights = datum.coeffs[:n_terms] * kvals
+    weights = datum.coeffs[:n_terms] * _bessel_row_scaled(datum.t, y, n_terms)
     phase = 2.0 * math.pi * np.outer(xs, n)
     tr = 2.0 * np.cos(phase) if datum.parity == "even" else 2.0 * np.sin(phase)
     return math.sqrt(y) * tr @ weights
@@ -296,8 +276,7 @@ def normalize_l2(datum: SpectralDatum, refine: int = 0,
         for y, wgt in zip(ys, yw * (hi - lo)):
             n_terms = _required_terms(t, y)
             n_terms = min(n_terms, datum.coeffs.size)
-            ks = np.array([bessel_k_imag_scaled(t, 2.0 * math.pi * y * m)
-                           for m in range(1, n_terms + 1)])
+            ks = _bessel_row_scaled(t, y, n_terms)
             strip += wgt * 2.0 * float(np.sum((datum.coeffs[:n_terms] * ks) ** 2)) / y
 
     # arc region sqrt(3)/2 <= y < 1, |x| in [sqrt(1-y^2), 1/2]; |phi|^2 even in x
@@ -402,7 +381,7 @@ def eisenstein_value(z: Point, t: float) -> complex:
     val = y ** s + phi * y ** (1.0 - s)
     sig = _divisor_sums(n_terms, t)
     n = np.arange(1, n_terms + 1)
-    kv = np.array([bessel_k_imag_scaled(t, 2.0 * math.pi * y * int(m)) for m in n])
+    kv = _bessel_row_scaled(t, y, n_terms)
     terms = n ** (s - 0.5) * sig * kv * np.cos(2.0 * math.pi * n * x)
     val += 4.0 * math.sqrt(y) / xi_scaled * complex(np.sum(terms))
     return complex(val)

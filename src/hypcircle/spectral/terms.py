@@ -1,8 +1,8 @@
-"""Main terms of the counting asymptotics and spectral second-moment sums.
+"""Main term of the counting asymptotics and spectral second-moment sums.
 
-For the modular group the main term is a single exponential; the secondary
-branches (small eigenvalues, eigenvalue 1/4, cusp boundary values) are
-implemented for synthetic datasets so the general formula stays testable.
+For the modular group the main term is the single exponential pi e^s / vol:
+the secondary terms of the general formula (small eigenvalues, eigenvalue
+1/4, cusp values at the centre of the critical line) all vanish for PSL(2,Z).
 """
 
 from __future__ import annotations
@@ -11,19 +11,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
-from ..errors import DomainError
-from ..fracint import FracOrder
-from ..geometry import Point
-from .data import Amplitude, SpectralDataset, amplitude
+from ..fracint import _as_alpha
+from .data import Amplitude
 from .transforms import r_alpha
 
 __all__ = [
     "MODULAR_COVOLUME",
     "main_term",
-    "main_term_alpha",
-    "MainTermAlpha",
     "spectral_variance",
     "VarianceSum",
     "f_alpha_sum",
@@ -33,75 +28,14 @@ __all__ = [
 # Hyperbolic area of the modular surface.
 MODULAR_COVOLUME = math.pi / 3.0
 
-_LOG2M1 = math.log(2.0) - 1.0
+_VOL_COEFF = math.pi / MODULAR_COVOLUME  # = 3 for the modular group
 
 
-def _as_alpha(order) -> float:
-    return order.alpha if isinstance(order, FracOrder) else FracOrder(float(order)).alpha
-
-
-def main_term(s, z: Point = None, w: Point = None,
-              dataset: SpectralDataset | None = None,
-              volume: float = MODULAR_COVOLUME):
-    """Smooth prediction for the ball count of radius s.
-
-    pi e^s / vol plus, when the dataset carries them, the small-eigenvalue
-    terms sqrt(pi) Gamma(r)/Gamma(3/2+r) e^{s(1/2+r)} phi phi, the
-    eigenvalue-1/4 term 4(s + 2(log2 - 1)) e^{s/2} phi phi, and the cusp
-    term e^{s/2} sum E_a E_a.  For the modular group only the first term is
-    nonzero.
-    """
+def main_term(s):
+    """Smooth prediction pi e^s / vol for the ball count of radius s."""
     s_arr = np.asarray(s, dtype=float)
-    out = math.pi * np.exp(s_arr) / volume
-    if dataset is not None:
-        for r, mode in dataset.small_modes:
-            coeff = math.sqrt(math.pi) * math.gamma(r) / math.gamma(1.5 + r)
-            out = out + coeff * np.exp(s_arr * (0.5 + r)) * abs(mode) ** 2
-        for mode in dataset.zero_modes:
-            out = out + 4.0 * (s_arr + 2.0 * _LOG2M1) * np.exp(0.5 * s_arr) * abs(mode) ** 2
-        for val in dataset.cusp_values:
-            out = out + np.exp(0.5 * s_arr) * abs(val) ** 2
+    out = _VOL_COEFF * np.exp(s_arr)
     return float(out) if s_arr.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class MainTermAlpha:
-    """Fractionally integrated normalized main term with its error budget.
-
-    value omits the integration-tail correction; error_budget is that
-    correction's exact magnitude for the leading exponential, computed from
-    the upper incomplete gamma (it decays like 2 (pi/vol) / (Gamma(a) s^(1-a))).
-    """
-
-    value: float
-    error_budget: float
-
-
-def main_term_alpha(s: float, z: Point = None, w: Point = None,
-                    dataset: SpectralDataset | None = None, order=0.5,
-                    volume: float = MODULAR_COVOLUME) -> MainTermAlpha:
-    """Fractional integral (order alpha, based at 0) of main_term(s) e^{-s/2}.
-
-    Modular-group reduction: (pi/vol) 2^alpha e^{s/2}.  The synthetic
-    branches mirror main_term with e^{s(1/2+r)} -> e^{s r}/r^alpha and the
-    polynomial terms picking up s^{a+1}/Gamma(a+2), s^a/Gamma(a+1).
-    """
-    alpha = _as_alpha(order)
-    if not s > 0.0:
-        raise DomainError(f"requires s > 0, got {s}")
-    value = (math.pi / volume) * 2.0 ** alpha * math.exp(0.5 * s)
-    if dataset is not None:
-        for r, mode in dataset.small_modes:
-            coeff = math.sqrt(math.pi) * math.gamma(r) / (r ** alpha * math.gamma(1.5 + r))
-            value += coeff * math.exp(s * r) * abs(mode) ** 2
-        for mode in dataset.zero_modes:
-            value += 4.0 * (s ** (alpha + 1.0) / math.gamma(alpha + 2.0)
-                            + 2.0 * _LOG2M1 * s ** alpha / math.gamma(alpha + 1.0)) * abs(mode) ** 2
-        for val in dataset.cusp_values:
-            value += s ** alpha / math.gamma(alpha + 1.0) * abs(val) ** 2
-    # exact leading-term integration tail: (pi/vol) e^{s/2} Q(a, s/2) 2^a
-    budget = (math.pi / volume) * math.exp(0.5 * s) * gammaincc(alpha, 0.5 * s) * 2.0 ** alpha
-    return MainTermAlpha(value=value, error_budget=float(budget))
 
 
 @dataclass(frozen=True)
@@ -137,12 +71,8 @@ def weyl_b_constant(amplitudes: list[Amplitude]) -> float:
     return sum(abs(a.b) ** 2 for a in amplitudes) / t_top ** 2
 
 
-def spectral_variance(amplitudes, order, t_max: float,
-                      z: Point = None, w: Point = None) -> VarianceSum:
+def spectral_variance(amplitudes, order, t_max: float) -> VarianceSum:
     """Partial sum of 2 pi |Gamma(it_j)|^2 |b_j|^2 / |t_j^a Gamma(3/2+it_j)|^2.
-
-    `amplitudes` is either a list of Amplitude or a SpectralDataset (then z, w
-    are required and amplitudes are computed on the fly).
 
     tail_bound is the remainder estimate obtained by continuing the measured
     quadratic growth of cumulative |b_j|^2 as a density 2 C_b u du against
@@ -155,7 +85,7 @@ def spectral_variance(amplitudes, order, t_max: float,
     carries no growth information, so the tail is reported as infinity.
     """
     alpha = _as_alpha(order)
-    amps = _resolve_amplitudes(amplitudes, z, w)
+    amps = list(amplitudes)
     inside = [a for a in amps if 0.0 < a.t <= t_max]
     value = sum(_variance_weight(a.t, alpha) * abs(a.b) ** 2 for a in inside)
     if not amps:
@@ -167,15 +97,14 @@ def spectral_variance(amplitudes, order, t_max: float,
     return VarianceSum(value=float(value), tail_bound=float(tail), terms=len(inside))
 
 
-def f_alpha_sum(amplitudes, order, s, t_max: float = math.inf,
-                z: Point = None, w: Point = None):
+def f_alpha_sum(amplitudes, order, s, t_max: float = math.inf):
     """Finite trigonometric model sum_j Re(r_alpha(t_j) e^{i t_j s}) b_j.
 
     Vectorized over s; b_j are treated as complex and the real part of the
     whole summand is taken, matching Re(r b e^{its}) for Hermitian pairs.
     """
     alpha = _as_alpha(order)
-    amps = [a for a in _resolve_amplitudes(amplitudes, z, w) if 0.0 < a.t < t_max]
+    amps = [a for a in amplitudes if 0.0 < a.t < t_max]
     s_arr = np.asarray(s, dtype=float)
     out = np.zeros(s_arr.shape)
     for a in amps:
@@ -183,10 +112,3 @@ def f_alpha_sum(amplitudes, order, s, t_max: float = math.inf,
         out = out + r.real * np.cos(a.t * s_arr) - r.imag * np.sin(a.t * s_arr)
     return float(out) if s_arr.ndim == 0 else out
 
-
-def _resolve_amplitudes(amplitudes, z, w) -> list[Amplitude]:
-    if isinstance(amplitudes, SpectralDataset):
-        if z is None or w is None:
-            raise DomainError("dataset input requires z and w")
-        return amplitude(amplitudes, z, w)
-    return list(amplitudes)

@@ -18,7 +18,7 @@ from scipy.special import i1 as _bessel_i1
 from scipy.special import j1 as _bessel_j1
 
 from ..errors import ArgumentOutOfRange, DomainError
-from ..fracint import DEFAULT_STEP, SampledSeries, frac_integrate
+from ..fracint import DEFAULT_STEP, SampledSeries, _as_alpha, frac_integrate
 from ..specfun import complex_gamma, gauss_2f1, gauss_legendre
 
 __all__ = [
@@ -153,7 +153,7 @@ def r_alpha(t: float, order) -> complex:
 
     Principal branch of (it)^alpha; even t sign handled by the caller.
     """
-    alpha = order.alpha if hasattr(order, "alpha") else float(order)
+    alpha = _as_alpha(order)
     if t == 0.0:
         raise DomainError("undefined at t = 0")
     it = 1j * t
@@ -180,7 +180,7 @@ def shc_frac(s: float, t: float, order, step: float = DEFAULT_STEP) -> ShcFracRe
         raise DomainError(f"requires s > 2, got {s}")
     if t == 0.0:
         raise DomainError("requires t != 0")
-    alpha = order.alpha if hasattr(order, "alpha") else float(order)
+    alpha = _as_alpha(order)
     n = int(round(s / step)) + 1
     grid = step * np.arange(n)
     vals = shc_direct_grid(grid, t)

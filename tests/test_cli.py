@@ -1,16 +1,34 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hypcircle.cli import main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects malformed arguments this way
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_skips_scipy_signal():
+    # scipy.signal costs about a second at start-up and nothing needs it
+    code = "import sys, hypcircle.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestCount:
@@ -71,6 +89,19 @@ class TestErrorTerm:
         assert code2 == 0
         assert out_path.read_text() == out2.read_text()
 
+    def test_cache_in_alone(self, capsys, tmp_path):
+        # the cache written by an enumerating run reproduces its CSV bytes
+        enumerated, cached = tmp_path / "enumerated.csv", tmp_path / "cached.csv"
+        cache = tmp_path / "cache.bin"
+        common = ["--z=0.2,1.3", "--w=-0.1,0.9", "--smax", "5", "--alpha", "0.25"]
+        code, _, _ = run(capsys, "error-term", *common, "--out", str(enumerated),
+                         "--cache", str(cache))
+        assert code == 0
+        code, _, err = run(capsys, "error-term", *common, "--out", str(cached),
+                           "--cache-in", str(cache))
+        assert code == 0, err
+        assert cached.read_bytes() == enumerated.read_bytes()
+
 
 class TestMoments:
     def test_from_csv(self, capsys, tmp_path):
@@ -89,9 +120,13 @@ class TestMoments:
 
     def test_bad_csv(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("wrong,header\n1,2\n")
-        code, _, err = run(capsys, "moments", "--in", str(path), "--T", "1")
-        assert code == 2
+        for text in ("wrong,header\n1,2\n",
+                     "s,value\n0,1\n0.5\n1,1\n",  # short row
+                     "s,value\n0,1\n0.5,abc\n1,1\n"):  # non-numeric cell
+            path.write_text(text)
+            code, _, err = run(capsys, "moments", "--in", str(path), "--T", "1")
+            assert code == 2
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 class TestJsonCommands:
@@ -137,6 +172,11 @@ class TestJsonCommands:
     def test_hybrid_bad_schedule(self, capsys):
         code, _, err = run(capsys, "hybrid", "--schedule", "inv-T", "--Ts", "6,9,12")
         assert code == 2
+
+    def test_hybrid_bad_T_list(self, capsys):
+        code, _, err = run(capsys, "hybrid", "--Ts", "6,a")
+        assert code == 2
+        assert err.strip().splitlines()[-1].endswith("expected comma-separated numbers, got '6,a'")
 
 
 def test_determinism(capsys, tmp_path):

@@ -11,7 +11,6 @@ from hypcircle.fracint import (
     frac_exp_reference,
     frac_indicator_exp,
     frac_integrate,
-    frac_weights,
 )
 
 STEP = 1.0 / 512.0
@@ -112,28 +111,6 @@ class TestOperatorProperties:
             out = frac_integrate(series, a).values
             errs.append(float(np.max(np.abs(out[mask] - series.values[mask]))))
         assert all(e1 > e2 for e1, e2 in zip(errs, errs[1:]))
-
-    def test_fast_convolution_matches_direct(self):
-        rng = np.random.default_rng(2)
-        s = SampledSeries(0.0, STEP, rng.normal(size=4000))
-        d = frac_integrate(s, 0.37).values
-        f = frac_integrate(s, 0.37, fast=True).values
-        scale = np.max(np.abs(d))
-        assert np.max(np.abs(d - f)) <= 1e-12 * scale
-
-    def test_left_rule_weights(self):
-        w = frac_weights(0.5, 4, 0.25)
-        ref = [0.0] + [0.25 ** 0.5 * (m ** 0.5 - (m - 1) ** 0.5) / gamma(1.5)
-                       for m in (1, 2, 3)]
-        assert w == pytest.approx(ref, rel=1e-14)
-
-    def test_left_rule_available(self):
-        series, grid = make_series(np.ones_like, s_max=3.0)
-        out = frac_integrate(series, 0.5, rule="left").values
-        mask = grid >= 1.0
-        ref = grid[mask] ** 0.5 / gamma(1.5)
-        # left rule on a constant is exact as well
-        assert np.max(np.abs(out[mask] - ref) / ref) <= 1e-12
 
 
 class TestFracExpReference:

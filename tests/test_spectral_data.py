@@ -1,4 +1,6 @@
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,3 +251,11 @@ class TestEisenstein:
             eisenstein_value(I, 31.0)
         with pytest.raises(DomainError):
             eisenstein_value(I, 0.0)
+
+
+def test_generator_script_imports():
+    # the data generator imports private helpers of spectral.data; loading it
+    # without running main() catches a rename that would break it
+    script = Path(__file__).resolve().parents[1] / "scripts" / "gen_maass_data.py"
+    namespace = runpy.run_path(str(script), run_name="not_main")
+    assert callable(namespace["main"]) and callable(namespace["automorphy_residual"])

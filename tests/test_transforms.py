@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hypcircle import constants
-from hypcircle.errors import ArgumentOutOfRange, DomainError
+from hypcircle.errors import ArgumentOutOfRange, DomainError, ValidationError
 from hypcircle.specfun import complex_gamma
 from hypcircle.spectral.transforms import (
     h_r_closed,
@@ -136,6 +136,10 @@ class TestRAlpha:
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
             r_alpha(0.0, 0.5)
+        # orders outside (0, 1] are rejected like everywhere else
+        for order in (5.0, -1.0):
+            with pytest.raises(ValidationError):
+                r_alpha(10.0, order)
 
 
 class TestShcFrac:
