@@ -81,9 +81,11 @@ def _read_csv(path) -> SampledSeries:
             raise ValidationError(f"{path}: expected header 's,value'")
         rows = [ln.split(",") for ln in fh.read().splitlines() if ln]
     try:
+        if any(len(r) != 2 for r in rows):
+            raise ValueError("a row without exactly two cells")
         grid = np.array([float(r[0]) for r in rows])
         vals = np.array([float(r[1]) for r in rows])
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"{path}: every row must hold two numbers s,value") from exc
     if grid.size < 2:
         raise ValidationError(f"{path}: need at least two samples")

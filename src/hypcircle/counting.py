@@ -72,6 +72,8 @@ class DistanceMultiset:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
+        if not np.all(np.isfinite(vals)):
+            raise ValidationError("distances must be finite")
         if vals.size and (vals[0] < 0.0 or vals[-1] > self.s):
             raise ValidationError("distances must lie in [0, s]")
         if np.any(np.diff(vals) < 0.0):
@@ -290,9 +292,21 @@ def save_distances(path, multiset: DistanceMultiset):
 
 
 def load_distances(path, s: float) -> DistanceMultiset:
+    """The cached distances <= s; a cache written at a larger radius is cut to s.
+
+    The file records no radius, so a cache written at a smaller radius than
+    s cannot be told apart and is read as it is.
+    """
     with open(path, "rb") as fh:
-        (n,) = struct.unpack("<Q", fh.read(8))
-        vals = np.frombuffer(fh.read(8 * n), dtype="<f8")
-        if vals.size != n:
-            raise ValidationError(f"truncated distance file {path}")
-    return DistanceMultiset(values=vals.copy(), s=s)
+        head = fh.read(8)
+        body = fh.read()
+    if len(head) != 8:
+        raise ValidationError(f"truncated distance file {path}")
+    (n,) = struct.unpack("<Q", head)
+    if len(body) != 8 * n:
+        raise ValidationError(
+            f"distance file {path} declares {n} values but holds {len(body)} bytes after the count")
+    # checks every stored value (finite, >= 0, sorted) before the cut
+    stored = DistanceMultiset(values=np.frombuffer(body, dtype="<f8").copy(), s=math.inf)
+    keep = int(np.searchsorted(stored.values, s, side="right"))
+    return DistanceMultiset(values=stored.values[:keep], s=s)

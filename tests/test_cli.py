@@ -76,6 +76,13 @@ class TestErrorTerm:
         e = [float(ln.split(",")[1]) for ln in exact_path.read_text().splitlines()[1:]]
         assert max(abs(a - b) for a, b in zip(g, e)) < 0.5
 
+    @pytest.mark.parametrize("step", ["0", "-1"])
+    def test_bad_step(self, capsys, tmp_path, step):
+        code, _, err = run(capsys, "error-term", "--smax", "2", "--step", step,
+                           "--out", str(tmp_path / "e.csv"))
+        assert code == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_alpha_and_cache(self, capsys, tmp_path):
         out_path = tmp_path / "ea.csv"
         cache = tmp_path / "cache.bin"
@@ -122,7 +129,8 @@ class TestMoments:
         path = tmp_path / "bad.csv"
         for text in ("wrong,header\n1,2\n",
                      "s,value\n0,1\n0.5\n1,1\n",  # short row
-                     "s,value\n0,1\n0.5,abc\n1,1\n"):  # non-numeric cell
+                     "s,value\n0,1\n0.5,abc\n1,1\n",  # non-numeric cell
+                     "s,value\n0,1,7\n0.5,1,8\n1,1,9\n"):  # extra cells
             path.write_text(text)
             code, _, err = run(capsys, "moments", "--in", str(path), "--T", "1")
             assert code == 2

@@ -140,6 +140,31 @@ class TestDistanceDump:
         assert back.count == ms.count
         assert np.array_equal(back.values, ms.values)
 
+    def test_larger_radius_cut_to_s(self, tmp_path):
+        z, w = Point(0.2, 1.3), Point(-0.1, 0.9)
+        path = tmp_path / "cache.bin"
+        save_distances(path, list_distances(BallSpec(z, w, 4.0)))
+        back = load_distances(path, 3.0)
+        assert back.s == 3.0
+        assert np.array_equal(back.values, list_distances(BallSpec(z, w, 3.0)).values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        path = tmp_path / "cache.bin"
+        save_distances(path, DistanceMultiset(values=np.array([0.1, 0.5, 0.9]), s=1.0))
+        raw = bytearray(path.read_bytes())
+        raw[16:24] = np.array([bad], dtype="<f8").tobytes()  # the second value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match="finite"):
+            load_distances(path, 1.0)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        save_distances(path, DistanceMultiset(values=np.array([0.1, 0.5]), s=1.0))
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ValidationError, match="declares 2 values"):
+            load_distances(path, 1.0)
+
     def test_sorted_invariant(self):
         with pytest.raises(ValidationError):
             DistanceMultiset(values=np.array([1.0, 0.5]), s=2.0)

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hypcircle import constants
+from hypcircle import constants, experiments
 from hypcircle.counting import BallSpec, list_distances
 from hypcircle.errors import ScheduleViolation, ValidationError, WindowOutOfRange
 from hypcircle.experiments import (
@@ -24,7 +24,12 @@ from hypcircle.experiments import (
     variance_report,
     window_variance,
 )
-from hypcircle.fracint import SampledSeries
+from hypcircle.fracint import (
+    DEFAULT_STEP,
+    SampledSeries,
+    frac_exp_reference,
+    frac_indicator_exp,
+)
 from hypcircle.geometry import Point
 from hypcircle.spectral import Amplitude
 from hypcircle.spectral.transforms import r_alpha
@@ -89,7 +94,7 @@ class TestSampleEAlpha:
     def test_grid_vs_exact_budget(self, alpha, distances_14):
         err = sample_e_alpha(I, I, alpha, 10.0, method="grid", distances=distances_14)
         idx = np.linspace(0, len(err.values) - 1, 129).astype(int)
-        exact = exact_e_alpha(distances_14, alpha, err.grid[idx])
+        exact = exact_e_alpha(distances_14, alpha, 10.0)[idx]
         diff = float(np.max(np.abs(err.values[idx] - exact)))
         assert diff <= method_budget(alpha)
         assert diff >= method_budget(alpha) / 20.0  # drift guard on the pin
@@ -112,16 +117,75 @@ class TestSampleEAlpha:
         dist = list_distances(BallSpec(z, w, 6.0))
         err = sample_e_alpha(z, w, 0.4, 6.0, distances=dist)
         idx = np.linspace(0, len(err.values) - 1, 65).astype(int)
-        exact = exact_e_alpha(dist, 0.4, err.grid[idx])
+        exact = exact_e_alpha(dist, 0.4, 6.0)[idx]
         assert float(np.max(np.abs(err.values[idx] - exact))) <= method_budget(0.4)
+
+    def test_bad_method_and_order_rejected_before_enumerating(self, monkeypatch):
+        def no_enumeration(spec):
+            raise AssertionError("enumerated before validating")
+
+        monkeypatch.setattr(experiments, "list_distances", no_enumeration)
+        with pytest.raises(ValidationError, match="unknown method"):
+            sample_e_alpha(I, I, 0.5, 12.0, method="exakt")
+        with pytest.raises(ValidationError):
+            sample_e_alpha(I, I, 1.5, 12.0, method="exact")
+
+
+def direct_sum_e_alpha(distances, alpha, s):
+    """The per-jump sum sum_d I_alpha(1_{t>=d} e^{-t/2})(s) minus the main term."""
+    total = sum(frac_indicator_exp(float(d), alpha, s) for d in distances.values)
+    return total - 3.0 * frac_exp_reference(0.5, alpha, s)
+
+
+class TestExactEAlpha:
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("z, w, s_max, step", [
+        (I, I, 6.0, DEFAULT_STEP),  # d = 0 and multiplicities
+        (Point(0.2, 1.3), Point(-0.1, 0.9), 5.0, 0.003),  # s_max not a multiple of step
+    ])
+    def test_matches_direct_sum(self, alpha, z, w, s_max, step):
+        dist = list_distances(BallSpec(z, w, s_max))
+        vals = exact_e_alpha(dist, alpha, s_max, step)
+        assert vals.size == len(sample_error(z, w, s_max, step, distances=dist).values)
+        idx = np.linspace(0, vals.size - 1, 33).astype(int)
+        ref = direct_sum_e_alpha(dist, alpha, step * idx)
+        assert np.max(np.abs(vals[idx] - ref)) <= 1e-11
+
+    def test_order_one_closed_form(self, distances_14):
+        # L(1, X) = 2 (e^{X/2} - 1), so
+        # e_1(s) = sum_{d<s} 2 (e^{-d/2} - e^{-s/2}) - 6 (e^{s/2} - 1).
+        # Summed as a cumulative sum of its increments over the grid cells:
+        # a running sum of the terms themselves loses 1e-10 at s = 10.
+        vals = exact_e_alpha(distances_14, 1.0, 10.0)
+        grid = DEFAULT_STEP * np.arange(vals.size)
+        d = distances_14.values
+        below = np.searchsorted(d, grid, side="left")  # jumps before s_j
+        cell = np.searchsorted(grid, d, side="right")  # s_{cell-1} <= d < s_cell
+        mass = np.bincount(cell, weights=np.exp(-0.5 * d), minlength=grid.size + 1)[:grid.size]
+        decay = np.exp(-0.5 * grid)
+        inc = (2.0 * (mass[1:] - np.diff(below) * decay[1:])
+               + 2.0 * below[:-1] * (decay[:-1] - decay[1:])
+               - 6.0 * np.diff(np.exp(0.5 * grid)))
+        ref = np.concatenate([[0.0], np.cumsum(inc)])
+        assert np.max(np.abs(vals - ref)) <= 1e-11
+
+    @pytest.mark.parametrize("s_max, step", [(2.0, 0.25), (0.02, DEFAULT_STEP)])
+    def test_grid_shorter_than_near_field(self, s_max, step):
+        dist = list_distances(BallSpec(I, I, s_max))
+        vals = exact_e_alpha(dist, 0.3, s_max, step)
+        assert vals.size <= experiments._NEAR_CELLS
+        ref = direct_sum_e_alpha(dist, 0.3, step * np.arange(vals.size))
+        assert np.max(np.abs(vals - ref)) <= 1e-13
+
+    def test_radius_zero(self):
+        vals = exact_e_alpha(list_distances(BallSpec(I, I, 0.0)), 0.5, 0.0)
+        assert vals.tolist() == [0.0]
 
 
 class TestLayerCake:
     def test_jump_sum_reproduces_weighted_count_integral(self):
         # sum over orbit distances of the order-1 jump integrals equals the
         # exact piecewise-constant integral of N(t) e^{-t/2}
-        from hypcircle.fracint import frac_indicator_exp
-
         s = 5.0
         dist = list_distances(BallSpec(I, I, s))
         total = float(np.sum([frac_indicator_exp(float(d), 1.0, s)
