@@ -96,6 +96,9 @@ def _read_csv(path) -> SampledSeries:
 
 
 def _emit(obj):
+    bad = [key for key, value in obj.items() if not np.all(np.isfinite(value))]
+    if bad:
+        raise ValidationError(f"non-finite result for {', '.join(bad)}")
     print(json.dumps(obj))
 
 
@@ -133,10 +136,9 @@ def cmd_error_term(args):
 def cmd_moments(args):
     series = _read_csv(args.infile)
     err = ErrorSeries(series=series, z=None, w=None, alpha=None, method="csv")
-    window = {"T2T": "T2T", "0T": "0T"}[args.window]
     _emit({
-        "first": first_moment(err, args.T, window=window),
-        "second": window_variance(err, args.T, window=window),
+        "first": first_moment(err, args.T, window=args.window),
+        "second": window_variance(err, args.T, window=args.window),
     })
 
 
@@ -176,10 +178,7 @@ def cmd_distribution(args):
         err = synthetic_series(amps, args.alpha, args.L)
     est = distribution_estimate(err, bins=args.bins if args.bins else "fd")
     centers = 0.5 * (est.edges[:-1] + est.edges[1:])
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("s,value\n")
-        for c, n in zip(centers, est.counts):
-            fh.write(f"{_fmt(c)},{_fmt(float(n))}\n")
+    _write_csv(args.out, centers, est.counts)
     _emit({
         "mean": est.mean,
         "variance": est.variance,

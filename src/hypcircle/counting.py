@@ -24,7 +24,7 @@ from .errors import (
     RadiusTooLarge,
     ValidationError,
 )
-from .geometry import Point
+from .geometry import Point, distance_from_u
 
 __all__ = [
     "BallSpec",
@@ -211,11 +211,7 @@ def list_distances(spec: BallSpec, point_cap: int = DEFAULT_POINT_CAP) -> Distan
     dx = spec.z.x - (np.repeat(x0, counts) + k)
     dy = spec.z.y - np.repeat(y0, counts)
     u = (dx * dx + dy * dy) / (4.0 * spec.z.y * np.repeat(y0, counts))
-    cosh_d = 2.0 * u + 1.0
-    dist = np.arccosh(np.maximum(cosh_d, 1.0))
-    tiny = u < 1e-14
-    if np.any(tiny):
-        dist[tiny] = 2.0 * np.sqrt(np.maximum(u[tiny], 0.0))
+    dist = distance_from_u(u)
     # guard-band points sit a hair above s; the closed-ball convention keeps them
     dist = np.minimum(dist, spec.s)
     dist.sort()

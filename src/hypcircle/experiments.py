@@ -248,6 +248,8 @@ def method_budget(alpha: float, step: float = DEFAULT_STEP) -> float:
 # ---------------------------------------------------------------------------
 
 def _window_slice(series: SampledSeries, T: float, window: str):
+    if not T > 0.0:
+        raise ValidationError(f"window length T must be positive, got {T}")
     lo, hi = (T, 2.0 * T) if window == "T2T" else (0.0, T)
     if window not in ("T2T", "0T"):
         raise ValidationError(f"unknown window {window!r}")
@@ -292,6 +294,8 @@ def variance_report(err: ErrorSeries, amplitudes, order, T: float,
     emp = window_variance(err, T, window=window)
     t_cap = t_max if math.isfinite(t_max) else max((a.t for a in amplitudes), default=1.0)
     spectral_sum = spectral_variance(amplitudes, order, t_cap)
+    if spectral_sum.terms == 0:
+        raise ValidationError(f"no spectral parameter lies in (0, {t_cap}]")
     ratio = emp / spectral_sum.value if spectral_sum.value > 0 else math.inf
     return VarianceReport(empirical=emp, spectral_value=spectral_sum.value,
                           spectral_tail=spectral_sum.tail_bound, ratio=ratio)
@@ -328,6 +332,9 @@ def pointwise_scan(err: ErrorSeries, x_values=None) -> PointwiseScan:
     if x_values is None:
         x_values = np.arange(8.0, grid[-1] + 1e-9, 1.0)
     x_values = np.asarray(x_values, dtype=float)
+    if x_values.size == 0:
+        raise ValidationError(
+            f"no scan point: by default x runs from 8 to the end of the series, {grid[-1]}")
     run_max = np.maximum.accumulate(np.abs(err.values))
     idx = np.searchsorted(grid, x_values + 1e-12) - 1
     sup = run_max[idx]
@@ -351,6 +358,8 @@ def pointwise_scan(err: ErrorSeries, x_values=None) -> PointwiseScan:
 def synthetic_series(amplitudes, order, L: float, step: float = 1.0 / 256.0,
                      start: float = 0.0, chunk: int = 2_000_000) -> ErrorSeries:
     """The almost-periodic model sampled as a series on [start, start + L]."""
+    if not L > 0.0:
+        raise ValidationError(f"series length L must be positive, got {L}")
     n = int(round(L / step)) + 1
     out = np.empty(n)
     alpha = _as_alpha(order)
@@ -374,6 +383,8 @@ def _ks_two_sample_sorted(a: np.ndarray, b: np.ndarray) -> float:
 def distribution_estimate(err: ErrorSeries, bins="fd") -> DistributionEstimate:
     """Histogram, moments, and a half-vs-half KS stationarity diagnostic."""
     vals = err.values
+    if vals.size < 2:
+        raise ValidationError(f"a distribution estimate needs at least 2 samples, got {vals.size}")
     edges = np.histogram_bin_edges(vals, bins=bins)
     counts, edges = np.histogram(vals, bins=edges)
     half = vals.size // 2
@@ -423,6 +434,8 @@ def hybrid_run(z: Point, w: Point, schedule, T_values,
     """
     sched = _SCHEDULES[schedule] if isinstance(schedule, str) else schedule
     T_values = sorted(float(T) for T in T_values)
+    if not all(T > 0.0 for T in T_values):
+        raise ValidationError(f"window lengths T must be positive, got {T_values}")
     alphas = [sched(T) for T in T_values]
     if any(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])):
         raise ScheduleViolation("schedule must have decreasing alpha(T)")

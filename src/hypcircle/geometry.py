@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import IntegerOverflow, ValidationError
 
 _INT64_MAX = 2**63 - 1
@@ -102,13 +104,13 @@ def point_pair_u(z: Point, w: Point) -> float:
 
 def distance(z: Point, w: Point) -> float:
     """Hyperbolic distance, computed through cosh d = 2u + 1."""
-    return distance_from_u(point_pair_u(z, w))
+    return float(distance_from_u(np.array([point_pair_u(z, w)]))[0])
 
 
-def distance_from_u(u: float) -> float:
-    """Distance as a function of the point-pair invariant."""
-    if u < 0.0:
-        raise ValidationError(f"point-pair invariant must be >= 0, got {u}")
-    if u < _U_TINY:
-        return 2.0 * math.sqrt(u)
-    return math.acosh(2.0 * u + 1.0)
+def distance_from_u(u: np.ndarray) -> np.ndarray:
+    """Distances acosh(2u + 1) for an array of point-pair invariants u >= 0."""
+    dist = np.arccosh(2.0 * u + 1.0)
+    tiny = u < _U_TINY
+    if np.any(tiny):
+        dist[tiny] = 2.0 * np.sqrt(u[tiny])
+    return dist

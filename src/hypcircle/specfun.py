@@ -1,10 +1,9 @@
 """Special functions the spectral side depends on.
 
-Complex Gamma (Lanczos), K-Bessel with imaginary order, Gauss 2F1 on the
-negative real axis, the exponential-kernel incomplete integral, and zeta on
-vertical lines.  Everything is double precision; the K-Bessel falls back to
-arbitrary precision on the narrow transition band where no double-precision
-representation is cancellation-free.
+K-Bessel with imaginary order, Gauss 2F1 on the negative real axis, and the
+exponential-kernel incomplete integral.  Everything is double precision; the
+K-Bessel falls back to arbitrary precision on the narrow transition band
+where no double-precision representation is cancellation-free.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import cmath
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gamma
 from scipy.special import k0 as _scipy_k0
 
 from .errors import (
@@ -24,11 +24,9 @@ from .errors import (
 )
 
 __all__ = [
-    "complex_gamma",
     "bessel_k_imag_scaled",
     "gauss_2f1",
     "lower_incomplete_exp",
-    "zeta_line",
     "gauss_legendre",
 ]
 
@@ -42,53 +40,6 @@ def gauss_legendre(n: int):
     """Cached Gauss-Legendre nodes/weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-# ---------------------------------------------------------------------------
-# complex Gamma
-# ---------------------------------------------------------------------------
-
-# Lanczos g = 7, n = 9 coefficient set; ~1e-13 relative on Re z >= 1/2.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _lanczos(z: complex) -> complex:
-    """Gamma on Re z >= 1/2 via the Lanczos rational approximation."""
-    z = z - 1.0
-    acc = _LANCZOS_C[0]
-    for i, coeff in enumerate(_LANCZOS_C[1:], start=1):
-        acc += coeff / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * cmath.exp(-t) * acc
-
-
-def complex_gamma(z: complex) -> complex:
-    """Gamma function for complex argument.
-
-    Lanczos approximation on Re z >= 1/2, reflection formula elsewhere.
-    Raises PoleProximity within 1e-12 of a nonpositive integer.
-    """
-    z = complex(z)
-    if z.real < 0.5:
-        zr = round(z.real)
-        if zr <= 0 and abs(z.real - zr) <= 1e-12 and abs(z.imag) <= 1e-12:
-            raise PoleProximity(f"gamma pole at z = {z}")
-        # Gamma(z) = pi / (sin(pi z) Gamma(1 - z))
-        return math.pi / (cmath.sin(math.pi * z) * _lanczos(1.0 - z))
-    return _lanczos(z)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +85,7 @@ def _besselk_series_scaled(t: float, x: float) -> float:
     if t == 0.0:
         return float(_scipy_k0(x))
     # K_{it}(x) = -pi Im(I_{it}(x)) / sinh(pi t); scale both sides by e^{pi t/2}.
-    g = math.exp(-0.5 * math.pi * t) / complex_gamma(1.0 + 1j * t)
+    g = math.exp(-0.5 * math.pi * t) / complex(gamma(1.0 + 1j * t))
     q = 0.25 * x * x
     acc = g
     term = g
@@ -244,61 +195,30 @@ def lower_incomplete_exp(alpha: float, X) -> np.ndarray | float:
     """integral_0^X exp(u/2) u^(alpha-1) du for X >= 0, vectorized in X.
 
     Ascending series X^alpha * sum_k X^k / (2^k k! (alpha + k)); all terms
-    positive, no cancellation, converges for every finite X.
+    positive, no cancellation, converges for every finite X.  The ratio of
+    a term to the partial sum grows with X, so the series is stopped when it
+    has converged at the largest X.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"order must lie in (0, 1], got {alpha}")
     X_arr = np.asarray(X, dtype=float)
     if np.any(X_arr < 0.0):
         raise DomainError("X must be >= 0")
+    if X_arr.size == 0:
+        return np.zeros(X_arr.shape)
     scalar = X_arr.ndim == 0
     X_arr = np.atleast_1d(X_arr)
+    top = X_arr.argmax()
     acc = np.full(X_arr.shape, 1.0 / alpha)
     term = np.full(X_arr.shape, 1.0 / alpha)
     half_x = 0.5 * X_arr
     for k in range(1, 400):
-        term = term * half_x * (alpha + k - 1) / (k * (alpha + k))
+        term *= half_x
+        term *= alpha + k - 1
+        term /= k * (alpha + k)
         acc += term
-        if np.all(term <= 1e-17 * acc):
+        if term.flat[top] <= 1e-17 * acc.flat[top]:
             break
     out = np.power(X_arr, alpha) * acc
     out[X_arr == 0.0] = 0.0
     return float(out[0]) if scalar else out
-
-
-# ---------------------------------------------------------------------------
-# Riemann zeta on vertical lines (Euler-Maclaurin)
-# ---------------------------------------------------------------------------
-
-_BERNOULLI = (
-    1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
-    -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0, 43867.0 / 798.0,
-    -174611.0 / 330.0, 854513.0 / 138.0, -236364091.0 / 2730.0,
-)
-
-
-def zeta_line(sigma: float, t: float, n_terms: int | None = None) -> complex:
-    """zeta(sigma + it) by Euler-Maclaurin summation, for sigma > 0.
-
-    Accuracy ~1e-12 for |t| <= ~100 with the default truncation.
-    """
-    if sigma <= 0.0:
-        raise DomainError(f"requires sigma > 0, got {sigma}")
-    s = complex(sigma, t)
-    if abs(s - 1.0) < 1e-10:
-        raise PoleProximity("zeta pole at s = 1")
-    N = n_terms if n_terms is not None else max(16, int(2.0 * abs(t)) + 16)
-    n = np.arange(1, N)
-    acc = complex(np.sum(n ** (-s)))
-    acc += N ** (1.0 - s) / (s - 1.0)
-    acc += 0.5 * N ** (-s)
-    # correction terms: sum_k B_{2k}/(2k)! * (s)(s+1)...(s+2k-2) * N^{-s-2k+1}
-    rising = s
-    fact = 2.0
-    power = N ** (-s - 1.0)
-    for k, b2k in enumerate(_BERNOULLI, start=1):
-        acc += b2k / fact * rising * power
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-        fact *= (2 * k + 1) * (2 * k + 2)
-        power /= N * N
-    return acc

@@ -9,7 +9,6 @@ from .data import (
     normalize_l2,
     amplitude,
     Amplitude,
-    eisenstein_value,
 )
 from .transforms import shc_direct, h_r_closed, htilde, shc_frac, r_alpha, ShcFracResult, HrResult
 from .terms import (
@@ -28,7 +27,6 @@ __all__ = [
     "normalize_l2",
     "amplitude",
     "Amplitude",
-    "eisenstein_value",
     "shc_direct",
     "h_r_closed",
     "htilde",

@@ -15,18 +15,12 @@ from importlib import resources
 import numpy as np
 
 from ..errors import (
-    DomainError,
     InsufficientCoefficients,
     ParseError,
     ValidationError,
 )
 from ..geometry import Point
-from ..specfun import (
-    bessel_k_imag_scaled,
-    complex_gamma,
-    gauss_legendre,
-    zeta_line,
-)
+from ..specfun import bessel_k_imag_scaled, gauss_legendre
 
 __all__ = [
     "SpectralDatum",
@@ -40,7 +34,6 @@ __all__ = [
     "normalize_l2",
     "ensure_l2norm",
     "amplitude",
-    "eisenstein_value",
     "pullback",
 ]
 
@@ -116,12 +109,9 @@ def parse_spectral_data(text: str, origin: str = "<string>") -> SpectralDataset:
     if not lines or not lines[0].startswith("#group="):
         raise ParseError(f"{origin}:1: missing '#group=' header")
     header = lines[0]
-    try:
-        group_part, _, source_part = header.partition(" #source=")
-        group = group_part[len("#group="):].strip()
-        source = source_part.strip()
-    except Exception as exc:  # pragma: no cover - defensive
-        raise ParseError(f"{origin}:1: malformed header: {exc}") from exc
+    group_part, _, source_part = header.partition(" #source=")
+    group = group_part[len("#group="):].strip()
+    source = source_part.strip()
     if not group:
         raise ParseError(f"{origin}:1: empty group tag")
     forms = []
@@ -337,51 +327,3 @@ def pullback(z: Point, max_iter: int = 200) -> Point:
             return Point(x, y)
         x, y = -x / n2, y / n2
     raise ValidationError(f"fundamental-domain reduction did not terminate for {z}")
-
-
-# ---------------------------------------------------------------------------
-# Eisenstein series (optional probe)
-# ---------------------------------------------------------------------------
-
-def _xi_completed(t: float) -> complex:
-    """Completed zeta xi(1 + 2it) scaled by exp(pi t/2) to dodge decay."""
-    s = complex(1.0, 2.0 * t)
-    gamma_half = complex_gamma(0.5 * s) * math.exp(0.5 * math.pi * t)
-    return math.pi ** (-0.5 * s.real) * np.exp(-0.5j * s.imag * math.log(math.pi)) \
-        * gamma_half * zeta_line(1.0, 2.0 * t)
-
-
-def _divisor_sums(n_max: int, t: float) -> np.ndarray:
-    """sigma_{-2it}(n) = sum_{d | n} d^{-2it} for n = 1..n_max."""
-    out = np.zeros(n_max + 1, dtype=complex)
-    for d in range(1, n_max + 1):
-        out[d::d] += d ** (-2j * t)
-    return out[1:]
-
-
-def eisenstein_value(z: Point, t: float) -> complex:
-    """Modular Eisenstein series E(z, 1/2 + it) via its Fourier expansion.
-
-    The constant term uses the scattering ratio xi(2it)/xi(1+2it), which for
-    real t is conj(xi(1+2it))/xi(1+2it) by the functional equation; the
-    Fourier coefficients carry divisor sums and K-Bessel factors, with the
-    exp(-pi t/2) decay of xi and K cancelled against each other.
-    """
-    if abs(t) > 30.0:
-        raise DomainError(f"probe limited to |t| <= 30, got {t}")
-    if t == 0.0:
-        raise DomainError("central point t = 0 needs the derivative expansion")
-    if t < 0.0:
-        return eisenstein_value(z, -t).conjugate()
-    x, y = z.x, z.y
-    s = complex(0.5, t)
-    n_terms = max(4, int(math.ceil(bessel_decay_cutoff(t) / (2.0 * math.pi * y))))
-    xi_scaled = _xi_completed(t)  # e^{pi t/2} xi(1+2it)
-    phi = xi_scaled.conjugate() / xi_scaled  # scattering xi(2it)/xi(1+2it)
-    val = y ** s + phi * y ** (1.0 - s)
-    sig = _divisor_sums(n_terms, t)
-    n = np.arange(1, n_terms + 1)
-    kv = _bessel_row_scaled(t, y, n_terms)
-    terms = n ** (s - 0.5) * sig * kv * np.cos(2.0 * math.pi * n * x)
-    val += 4.0 * math.sqrt(y) / xi_scaled * complex(np.sum(terms))
-    return complex(val)

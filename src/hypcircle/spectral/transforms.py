@@ -14,12 +14,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gamma, rgamma
 from scipy.special import i1 as _bessel_i1
 from scipy.special import j1 as _bessel_j1
 
 from ..errors import ArgumentOutOfRange, DomainError
 from ..fracint import DEFAULT_STEP, SampledSeries, _as_alpha, frac_integrate
-from ..specfun import complex_gamma, gauss_2f1, gauss_legendre
+from ..specfun import gauss_2f1, gauss_legendre
 
 __all__ = [
     "shc_direct",
@@ -96,8 +97,9 @@ class HrResult:
 
 def _hr_halfterm(R: float, tc: complex) -> complex:
     x = 1.0 / (1.0 - math.exp(2.0 * R))
-    return (cmath.exp(1j * tc * R) * complex_gamma(1j * tc)
-            / complex_gamma(1.5 + 1j * tc) * gauss_2f1(-0.5, 1.5, 1.0 - 1j * tc, x))
+    # 1/Gamma is entire: it is 0 where 3/2 + i t is a pole of Gamma
+    return (cmath.exp(1j * tc * R) * gamma(1j * tc)
+            * rgamma(1.5 + 1j * tc) * gauss_2f1(-0.5, 1.5, 1.0 - 1j * tc, x))
 
 
 def h_r_closed(R: float, t: complex) -> HrResult:
@@ -157,8 +159,7 @@ def r_alpha(t: float, order) -> complex:
     if t == 0.0:
         raise DomainError("undefined at t = 0")
     it = 1j * t
-    return (2.0 * math.sqrt(math.pi) * complex_gamma(it)
-            / (it ** alpha * complex_gamma(1.5 + it)))
+    return 2.0 * math.sqrt(math.pi) * gamma(it) / (it ** alpha * gamma(1.5 + it))
 
 
 @dataclass(frozen=True)

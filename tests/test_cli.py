@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypcircle.cli import main
+from hypcircle.cli import _emit, main
+from hypcircle.errors import ValidationError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -185,6 +186,40 @@ class TestJsonCommands:
         code, _, err = run(capsys, "hybrid", "--Ts", "6,a")
         assert code == 2
         assert err.strip().splitlines()[-1].endswith("expected comma-separated numbers, got '6,a'")
+        for ts in ("0", "-4"):
+            code, out, err = run(capsys, "hybrid", "--Ts", ts)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--T", "0"],
+    ["variance", "--alpha", "0.5", "--T", "0"],
+    ["variance", "--alpha", "0.5", "--T", "2", "--tmax", "1"],
+    ["distribution", "--mode", "real", "--alpha", "0.5", "--T", "0"],
+    ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "0"],
+    ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "-3"],
+    ["scan-pointwise", "--alpha", "0.5", "--smax", "3"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_empty_window_rejected(capsys, tmp_path, argv):
+    # a window or sample set with nothing in it ends with exit 2, never NaN on stdout
+    if argv[0] == "moments":
+        series = tmp_path / "series.csv"
+        series.write_text("s,value\n0,1\n0.5,1\n1,1\n")
+        argv = argv + ["--in", str(series)]
+    if argv[0] == "distribution":
+        argv = argv + ["--out", str(tmp_path / "hist.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_emit_rejects_non_finite(capsys):
+    with pytest.raises(ValidationError, match="result for ratio"):
+        _emit({"empirical": 1.0, "ratio": math.inf})
+    with pytest.raises(ValidationError, match="result for x"):
+        _emit({"x": [1.0, math.nan]})
+    assert capsys.readouterr().out == ""
 
 
 def test_determinism(capsys, tmp_path):

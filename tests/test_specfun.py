@@ -3,54 +3,9 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-import scipy.special as sp
 
-from hypcircle.errors import ArgumentOutOfRange, DomainError, PoleProximity
-from hypcircle.specfun import (
-    bessel_k_imag_scaled,
-    complex_gamma,
-    gauss_2f1,
-    lower_incomplete_exp,
-    zeta_line,
-)
-
-
-class TestComplexGamma:
-    def test_classical_values(self):
-        assert complex_gamma(1.0) == pytest.approx(1.0, rel=1e-14)
-        assert complex_gamma(0.5).real == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-
-    @pytest.mark.parametrize("t", [1.0, 5.0, 20.0])
-    def test_imaginary_axis_modulus(self, t):
-        # |Gamma(it)|^2 t sinh(pi t) / pi = 1, checked against the closed form
-        g = complex_gamma(1j * t)
-        assert abs(g) ** 2 * t * math.sinh(math.pi * t) / math.pi == pytest.approx(
-            1.0, abs=1e-10)
-
-    def test_functional_equation_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            z = complex(rng.uniform(-20, 20), rng.uniform(-20, 20))
-            if abs(z - round(z.real)) < 0.1 and z.real <= 0.5:
-                continue
-            lhs = complex_gamma(z + 1)
-            rhs = z * complex_gamma(z)
-            assert abs(lhs - rhs) <= 1e-11 * abs(lhs)
-
-    def test_against_scipy(self):
-        rng = np.random.default_rng(4)
-        for _ in range(40):
-            z = complex(rng.uniform(-10, 10), rng.uniform(-30, 30))
-            if z.real <= 0.5 and abs(z.imag) < 0.2:
-                continue
-            ref = sp.gamma(z)
-            assert abs(complex_gamma(z) - ref) <= 1e-12 * abs(ref)
-
-    def test_pole_raises(self):
-        with pytest.raises(PoleProximity):
-            complex_gamma(0.0)
-        with pytest.raises(PoleProximity):
-            complex_gamma(-3.0 + 1e-14j)
+from hypcircle.errors import ArgumentOutOfRange, DomainError
+from hypcircle.specfun import bessel_k_imag_scaled, gauss_2f1, lower_incomplete_exp
 
 
 class TestBesselKImag:
@@ -163,26 +118,9 @@ class TestLowerIncompleteExp:
         for i, x in enumerate(X):
             assert vec[i] == pytest.approx(lower_incomplete_exp(0.4, float(x)), rel=1e-14)
 
-
-class TestZetaLine:
-    def test_classical_values(self):
-        assert zeta_line(2.0, 0.0).real == pytest.approx(math.pi ** 2 / 6.0, rel=1e-12)
-        assert zeta_line(3.0, 0.0).real == pytest.approx(1.2020569031595943, rel=1e-12)
-
-    def test_self_convergence(self):
-        v1 = zeta_line(1.0, 2.0)
-        v2 = zeta_line(1.0, 2.0, n_terms=64)
-        assert abs(v1 - v2) <= 1e-10 * abs(v1)
-
-    def test_against_mpmath(self):
-        mp.mp.dps = 30
-        for (sig, t) in [(1.0, 2.0), (0.5, 14.13), (1.0, 60.0), (2.0, -7.0)]:
-            ref = complex(mp.zeta(complex(sig, t)))
-            assert abs(zeta_line(sig, t) - ref) <= 1e-10 * abs(ref)
-
-    def test_pole(self):
-        with pytest.raises(PoleProximity):
-            zeta_line(1.0, 0.0)
-        with pytest.raises(DomainError):
-            zeta_line(-0.5, 3.0)
-
+    def test_array_shapes(self):
+        # the series stops on the largest element, wherever it sits
+        X = np.array([[11.0, 0.3], [0.0, 2.0]])
+        assert np.array_equal(lower_incomplete_exp(0.4, X),
+                              lower_incomplete_exp(0.4, X.ravel()).reshape(2, 2))
+        assert lower_incomplete_exp(0.4, np.empty(0)).shape == (0,)

@@ -7,7 +7,6 @@ import pytest
 
 from hypcircle import constants
 from hypcircle.errors import (
-    DomainError,
     InsufficientCoefficients,
     ParseError,
     ValidationError,
@@ -18,7 +17,6 @@ from hypcircle.spectral import (
     SpectralDatum,
     amplitude,
     bundled_dataset,
-    eisenstein_value,
     load_spectral_data,
     maass_value,
     normalize_l2,
@@ -221,36 +219,6 @@ class TestPullback:
             p = pullback(z)
             assert abs(p.x) <= 0.5 + 1e-12
             assert p.x * p.x + p.y * p.y >= 1.0 - 1e-12
-
-
-class TestEisenstein:
-    def test_periodicity(self):
-        z = Point(0.31, 0.92)
-        assert abs(eisenstein_value(z, 4.0)
-                   - eisenstein_value(Point(z.x + 1.0, z.y), 4.0)) <= 1e-8
-
-    def test_automorphy(self):
-        z = Point(0.31, 0.92)
-        sz = mobius_apply(S, z)
-        assert abs(eisenstein_value(z, 4.0) - eisenstein_value(sz, 4.0)) <= 1e-6
-
-    def test_conjugate_symmetry(self):
-        z = Point(0.2, 1.1)
-        assert eisenstein_value(z, -3.0) == pytest.approx(
-            eisenstein_value(z, 3.0).conjugate(), rel=1e-12)
-
-    def test_growth_envelope(self):
-        # |E(i, 1/2+it)| stays under c t^{0.51} on the probe range
-        ts = np.linspace(5.0, 30.0, 9)
-        vals = np.array([abs(eisenstein_value(I, float(t))) for t in ts])
-        c = np.max(vals / ts ** 0.51)
-        assert c < 3.0
-
-    def test_domain_limits(self):
-        with pytest.raises(DomainError):
-            eisenstein_value(I, 31.0)
-        with pytest.raises(DomainError):
-            eisenstein_value(I, 0.0)
 
 
 def test_generator_script_imports():
