@@ -1,6 +1,6 @@
 """Numerical laboratory for the hyperbolic lattice-point problem on the modular surface."""
 
-from .geometry import Point, GroupElement, mobius_apply, point_pair_u, distance
+from .geometry import Point, point_pair_u, distance
 from .counting import (
     BallSpec,
     DistanceMultiset,
@@ -20,8 +20,6 @@ from . import specfun, spectral, experiments
 
 __all__ = [
     "Point",
-    "GroupElement",
-    "mobius_apply",
     "point_pair_u",
     "distance",
     "BallSpec",

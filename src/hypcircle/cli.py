@@ -25,6 +25,7 @@ from .counting import (
 )
 from .errors import HypCircleError, NonConvergence, ValidationError
 from .experiments import (
+    ErrorSeries,
     distribution_estimate,
     first_moment,
     hybrid_run,
@@ -45,7 +46,6 @@ from .spectral import (
     shc_direct,
     shc_frac,
 )
-from .experiments import ErrorSeries
 
 
 def _fmt(x: float) -> str:
@@ -135,7 +135,7 @@ def cmd_error_term(args):
 
 def cmd_moments(args):
     series = _read_csv(args.infile)
-    err = ErrorSeries(series=series, z=None, w=None, alpha=None, method="csv")
+    err = ErrorSeries(series=series, alpha=None)
     _emit({
         "first": first_moment(err, args.T, window=args.window),
         "second": window_variance(err, args.T, window=args.window),
@@ -170,13 +170,15 @@ def cmd_scan_pointwise(args):
 
 
 def cmd_distribution(args):
+    if args.bins is not None and args.bins < 1:
+        raise ValidationError(f"--bins must be at least 1, got {args.bins}")
     if args.mode == "real":
         err = sample_e_alpha(args.z, args.w, args.alpha, args.T, args.step)
     else:
         dataset = _dataset(args.spectral)
         amps = amplitude(dataset, args.z, args.w)
         err = synthetic_series(amps, args.alpha, args.L)
-    est = distribution_estimate(err, bins=args.bins if args.bins else "fd")
+    est = distribution_estimate(err, bins="fd" if args.bins is None else args.bins)
     centers = 0.5 * (est.edges[:-1] + est.edges[1:])
     _write_csv(args.out, centers, est.counts)
     _emit({

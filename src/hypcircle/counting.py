@@ -196,13 +196,13 @@ def count_ball(spec: BallSpec, with_diagnostics: bool = False):
     return total, CountDiagnostics(rows_scanned=int(x0.size), boundary_ties=ties)
 
 
-def list_distances(spec: BallSpec, point_cap: int = DEFAULT_POINT_CAP) -> DistanceMultiset:
+def list_distances(spec: BallSpec) -> DistanceMultiset:
     """All orbit distances d(z, gamma w) <= s, sorted ascending with multiplicity."""
     x0, y0 = _orbit_rows(spec)
     k_lo, k_hi, counts = _k_intervals(spec, x0, y0, _BOUNDARY_GUARD)
     total = int(counts.sum())
-    if total > point_cap:
-        raise MemoryBudgetExceeded(f"{total} orbit points exceed cap {point_cap}")
+    if total > DEFAULT_POINT_CAP:
+        raise MemoryBudgetExceeded(f"{total} orbit points exceed cap {DEFAULT_POINT_CAP}")
     keep = counts > 0
     x0, y0, k_lo, counts = x0[keep], y0[keep], k_lo[keep], counts[keep]
     starts = np.cumsum(counts) - counts

@@ -17,10 +17,6 @@ class RadiusTooLarge(ValidationError):
     """Requested ball radius exceeds the configured enumeration ceiling."""
 
 
-class IntegerOverflow(HypCircleError, OverflowError):
-    """Matrix entries would not fit in 64-bit integers."""
-
-
 class MemoryBudgetExceeded(HypCircleError):
     """An enumeration would produce more points than the configured cap."""
 

@@ -53,13 +53,10 @@ _CROSSCHECK_POINTS = 33
 
 @dataclass(frozen=True)
 class ErrorSeries:
-    """A sampled normalized remainder with its provenance."""
+    """A sampled normalized remainder and its fractional order (None if not integrated)."""
 
     series: SampledSeries
-    z: Point | None
-    w: Point | None
     alpha: float | None
-    method: str
 
     @property
     def values(self) -> np.ndarray:
@@ -108,7 +105,7 @@ def sample_error(z: Point, w: Point, s_max: float, step: float = DEFAULT_STEP,
     counts = np.searchsorted(distances.values, grid, side="right")
     vals = (counts - main_term(grid)) * np.exp(-0.5 * grid)
     series = SampledSeries(0.0, step, vals)
-    return ErrorSeries(series=series, z=z, w=w, alpha=None, method="count")
+    return ErrorSeries(series=series, alpha=None)
 
 
 def sample_e_alpha(z: Point, w: Point, order, s_max: float,
@@ -132,7 +129,7 @@ def sample_e_alpha(z: Point, w: Point, order, s_max: float,
     if method == "grid":
         base = sample_error(z, w, s_max, step, distances=distances)
         series = frac_integrate(base.series, alpha)
-        return ErrorSeries(series=series, z=z, w=w, alpha=alpha, method="grid")
+        return ErrorSeries(series=series, alpha=alpha)
     vals = exact_e_alpha(distances, alpha, s_max, step)
     series = SampledSeries(0.0, step, vals)
     g = sample_e_alpha(z, w, alpha, s_max, step, "grid", distances=distances)
@@ -143,7 +140,7 @@ def sample_e_alpha(z: Point, w: Point, order, s_max: float,
         warnings.warn(
             f"grid/exact fractional error terms differ by {diff:.3e} "
             f"(budget {budget:.3e})", MethodDisagreement)
-    return ErrorSeries(series=series, z=z, w=w, alpha=alpha, method="exact")
+    return ErrorSeries(series=series, alpha=alpha)
 
 
 # Near/far split of exact_e_alpha: a distance in grid cell k is summed
@@ -286,13 +283,16 @@ class VarianceReport:
 
 def variance_report(err: ErrorSeries, amplitudes, order, T: float,
                     t_max: float = math.inf, window: str = "T2T") -> VarianceReport:
-    """Empirical window variance against the spectral second-moment sum.
+    """Empirical window variance against the spectral second-moment sum up to t_max.
 
-    No pass/fail judgment here: the limit is asymptotic and desk-scale
-    windows converge slowly, so the ratio is reported as-is.
+    t_max = inf (the default) sums every form.  No pass/fail judgment here:
+    the limit is asymptotic and desk-scale windows converge slowly, so the
+    ratio is reported as-is.
     """
+    if math.isnan(t_max):
+        raise ValidationError("spectral cut-off t_max is NaN")
     emp = window_variance(err, T, window=window)
-    t_cap = t_max if math.isfinite(t_max) else max((a.t for a in amplitudes), default=1.0)
+    t_cap = t_max if t_max < math.inf else max((a.t for a in amplitudes), default=1.0)
     spectral_sum = spectral_variance(amplitudes, order, t_cap)
     if spectral_sum.terms == 0:
         raise ValidationError(f"no spectral parameter lies in (0, {t_cap}]")
@@ -321,20 +321,18 @@ class PointwiseScan:
     alpha: float
 
 
-def pointwise_scan(err: ErrorSeries, x_values=None) -> PointwiseScan:
-    """Envelope constants sup_{s<=x} |e_a(s)| m(x) over a grid of x.
+def pointwise_scan(err: ErrorSeries) -> PointwiseScan:
+    """Envelope constants sup_{s<=x} |e_a(s)| m(x) at x = 8, 9, ... up to the series end.
 
     m(x) = e^{-x (1-2a)/(6-4a)} for a < 1/2, 1/x for a = 1/2, and 1 above;
     fitted_exponent is the least-squares slope of log sup_{s<=x}|e_a| vs x.
     """
     alpha = err.alpha if err.alpha is not None else 0.0
     grid = err.grid
-    if x_values is None:
-        x_values = np.arange(8.0, grid[-1] + 1e-9, 1.0)
-    x_values = np.asarray(x_values, dtype=float)
+    x_values = np.arange(8.0, grid[-1] + 1e-9, 1.0)
     if x_values.size == 0:
         raise ValidationError(
-            f"no scan point: by default x runs from 8 to the end of the series, {grid[-1]}")
+            f"no scan point: x runs from 8 to the end of the series, {grid[-1]}")
     run_max = np.maximum.accumulate(np.abs(err.values))
     idx = np.searchsorted(grid, x_values + 1e-12) - 1
     sup = run_max[idx]
@@ -355,20 +353,21 @@ def pointwise_scan(err: ErrorSeries, x_values=None) -> PointwiseScan:
 # limiting distribution
 # ---------------------------------------------------------------------------
 
-def synthetic_series(amplitudes, order, L: float, step: float = 1.0 / 256.0,
-                     start: float = 0.0, chunk: int = 2_000_000) -> ErrorSeries:
-    """The almost-periodic model sampled as a series on [start, start + L]."""
+# Samples of the synthetic series evaluated per f_alpha_sum call.
+_SYNTHETIC_CHUNK = 2_000_000
+
+
+def synthetic_series(amplitudes, order, L: float, step: float = 1.0 / 256.0) -> ErrorSeries:
+    """The almost-periodic model sampled as a series on [0, L]."""
     if not L > 0.0:
         raise ValidationError(f"series length L must be positive, got {L}")
     n = int(round(L / step)) + 1
     out = np.empty(n)
     alpha = _as_alpha(order)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        s = start + step * np.arange(lo, hi)
-        out[lo:hi] = f_alpha_sum(amplitudes, alpha, s)
-    series = SampledSeries(start, step, out)
-    return ErrorSeries(series=series, z=None, w=None, alpha=alpha, method="synthetic")
+    for lo in range(0, n, _SYNTHETIC_CHUNK):
+        hi = min(lo + _SYNTHETIC_CHUNK, n)
+        out[lo:hi] = f_alpha_sum(amplitudes, alpha, step * np.arange(lo, hi))
+    return ErrorSeries(series=SampledSeries(0.0, step, out), alpha=alpha)
 
 
 def _ks_two_sample_sorted(a: np.ndarray, b: np.ndarray) -> float:
@@ -407,6 +406,9 @@ _SCHEDULES = {
     "inv-T": lambda T: 1.0 / T,
 }
 
+# Largest admissible condition value 1/(alpha e^{2 T alpha}) at T >= 9.
+_CONDITION_MAX = 0.05
+
 
 @dataclass(frozen=True)
 class HybridPoint:
@@ -421,18 +423,18 @@ def schedule_condition(alpha: float, T: float) -> float:
     return 1.0 / (alpha * math.exp(2.0 * T * alpha))
 
 
-def hybrid_run(z: Point, w: Point, schedule, T_values,
-               condition_max: float = 0.05, step: float = DEFAULT_STEP,
-               window: str = "0T",
+def hybrid_run(z: Point, w: Point, schedule: str, T_values, step: float = DEFAULT_STEP,
                distances: DistanceMultiset | None = None) -> list[HybridPoint]:
-    """Window variances along a vanishing-order schedule alpha(T).
+    """Variances over the windows [0, T] along a vanishing-order schedule alpha(T).
 
-    The schedule must have alpha(T) decreasing and the condition quantity
-    1/(alpha e^{2 T alpha}) below condition_max at every listed T (checked
-    at T >= 9 where the asymptotic regime is meant); otherwise
-    ScheduleViolation is raised.
+    schedule names an entry of _SCHEDULES.  It must have alpha(T) decreasing
+    and the condition quantity 1/(alpha e^{2 T alpha}) at most _CONDITION_MAX
+    at every listed T (checked at T >= 9 where the asymptotic regime is meant);
+    otherwise ScheduleViolation is raised.
     """
-    sched = _SCHEDULES[schedule] if isinstance(schedule, str) else schedule
+    if schedule not in _SCHEDULES:
+        raise ValidationError(f"unknown schedule {schedule!r}, expected one of {sorted(_SCHEDULES)}")
+    sched = _SCHEDULES[schedule]
     T_values = sorted(float(T) for T in T_values)
     if not all(T > 0.0 for T in T_values):
         raise ValidationError(f"window lengths T must be positive, got {T_values}")
@@ -441,15 +443,15 @@ def hybrid_run(z: Point, w: Point, schedule, T_values,
         raise ScheduleViolation("schedule must have decreasing alpha(T)")
     conds = [schedule_condition(a, T) for a, T in zip(alphas, T_values)]
     for T, cond in zip(T_values, conds):
-        if T >= 9.0 and cond > condition_max:
+        if T >= 9.0 and cond > _CONDITION_MAX:
             raise ScheduleViolation(
-                f"condition value {cond:.4g} at T={T} exceeds {condition_max}")
-    s_need = max(2.0 * T if window == "T2T" else T for T in T_values)
+                f"condition value {cond:.4g} at T={T} exceeds {_CONDITION_MAX}")
+    s_need = max(T_values)
     if distances is None:
         distances = list_distances(BallSpec(z, w, s_need))
     out = []
     for T, a, cond in zip(T_values, alphas, conds):
         err = sample_e_alpha(z, w, a, s_need, step=step, distances=distances)
-        var = window_variance(err, T, window=window)
+        var = window_variance(err, T, window="0T")
         out.append(HybridPoint(T=T, alpha=a, condition=cond, variance=var))
     return out

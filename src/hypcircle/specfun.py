@@ -152,11 +152,10 @@ def bessel_k_imag_scaled(t: float, x: float) -> float:
 # Gauss hypergeometric 2F1 for arguments on (-1, 0]
 # ---------------------------------------------------------------------------
 
-def _hyp2f1_series(a: complex, b: complex, c: complex, x: float,
-                   max_terms: int = 800) -> complex:
+def _hyp2f1_series(a: complex, b: complex, c: complex, x: float) -> complex:
     term = complex(1.0)
     acc = complex(1.0)
-    for k in range(max_terms):
+    for k in range(800):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * x
         acc += term
         if abs(term) <= 1e-16 * max(abs(acc), 1e-30):

@@ -317,10 +317,10 @@ def amplitude(dataset: SpectralDataset, z: Point, w: Point) -> list[Amplitude]:
 # fundamental-domain reduction
 # ---------------------------------------------------------------------------
 
-def pullback(z: Point, max_iter: int = 200) -> Point:
+def pullback(z: Point) -> Point:
     """Translate z into the standard fundamental domain |x| <= 1/2, |z| >= 1."""
     x, y = z.x, z.y
-    for _ in range(max_iter):
+    for _ in range(200):
         x -= round(x)
         n2 = x * x + y * y
         if n2 >= 1.0 - 1e-15:

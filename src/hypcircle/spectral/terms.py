@@ -97,14 +97,16 @@ def spectral_variance(amplitudes, order, t_max: float) -> VarianceSum:
     return VarianceSum(value=float(value), tail_bound=float(tail), terms=len(inside))
 
 
-def f_alpha_sum(amplitudes, order, s, t_max: float = math.inf):
+def f_alpha_sum(amplitudes, order, s):
     """Finite trigonometric model sum_j Re(r_alpha(t_j) e^{i t_j s}) b_j.
 
     Vectorized over s; b_j are treated as complex and the real part of the
     whole summand is taken, matching Re(r b e^{its}) for Hermitian pairs.
+    Terms with b_j = 0 (odd forms on the imaginary axis) add exactly zero
+    and are skipped.
     """
     alpha = _as_alpha(order)
-    amps = [a for a in amplitudes if 0.0 < a.t < t_max]
+    amps = [a for a in amplitudes if a.t > 0.0 and a.b != 0.0]
     s_arr = np.asarray(s, dtype=float)
     out = np.zeros(s_arr.shape)
     for a in amps:

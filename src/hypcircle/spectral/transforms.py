@@ -50,8 +50,8 @@ def shc_direct(s: float, t: float, refine: int = 0) -> float:
     vanishing at the endpoints.  `refine` doubles the panel count (used by
     self-convergence tests).
     """
-    if not s > 0.0:
-        raise DomainError(f"requires s > 0, got {s}")
+    if not 0.0 < s < math.inf:
+        raise DomainError(f"requires a finite s > 0, got {s}")
     return float(shc_direct_grid(np.array([s]), t, refine)[0])
 
 
@@ -62,6 +62,8 @@ def shc_direct_grid(s_values: np.ndarray, t: float, refine: int = 0) -> np.ndarr
         2 s integral_0^1 sqrt(cosh s - cosh(s(1-xi^2))) cos(s(1-xi^2) t) xi dxi,
     smooth in xi, so one Gauss-Legendre grid serves every radius row.
     """
+    if not math.isfinite(t):
+        raise DomainError(f"requires a finite t, got {t}")
     s_values = np.asarray(s_values, dtype=float)
     out = np.zeros(s_values.shape)
     pos = s_values > 0.0
@@ -110,9 +112,11 @@ def h_r_closed(R: float, t: complex) -> HrResult:
     its O(R^2 e^{R |Im t|} min(R^2, |t|^-2)) envelope in error_bound.
     Purely imaginary t is supported in both branches.
     """
-    if not R > 0.0:
-        raise DomainError(f"requires R > 0, got {R}")
+    if not 0.0 < R < math.inf:
+        raise DomainError(f"requires a finite R > 0, got {R}")
     tc = complex(t)
+    if not cmath.isfinite(tc):
+        raise DomainError(f"requires a finite t, got {t}")
     it = 1j * tc
     if abs(it.real - round(it.real)) < 1e-12 and abs(it.imag) < 1e-12:
         raise ArgumentOutOfRange(f"closed form undefined at integer i*t, got t = {t}")
@@ -174,18 +178,19 @@ def shc_frac(s: float, t: float, order, step: float = DEFAULT_STEP) -> ShcFracRe
     """Fractional integral (in the radius) of the normalized kernel transform.
 
     Samples x -> shc_direct(x, t) on [0, s] (extended by its limit 0 at x=0)
-    and applies the product-integration operator; the `asymptotic` field is
+    with the largest spacing s/n <= step, so that s is the last sample, and
+    applies the product-integration operator; the `asymptotic` field is
     Re(r_alpha(t) e^{i t s}).
     """
-    if not s > 2.0:
-        raise DomainError(f"requires s > 2, got {s}")
+    if not 2.0 < s < math.inf:
+        raise DomainError(f"requires a finite s > 2, got {s}")
     if t == 0.0:
         raise DomainError("requires t != 0")
     alpha = _as_alpha(order)
-    n = int(round(s / step)) + 1
-    grid = step * np.arange(n)
-    vals = shc_direct_grid(grid, t)
-    series = SampledSeries(0.0, step, vals)
+    cells = math.ceil(s / step)
+    grid_step = s / cells
+    vals = shc_direct_grid(grid_step * np.arange(cells + 1), t)
+    series = SampledSeries(0.0, grid_step, vals)
     integ = frac_integrate(series, alpha)
     asym = (r_alpha(t, alpha) * cmath.exp(1j * t * s)).real
     return ShcFracResult(float(integ.values[-1]), float(asym))

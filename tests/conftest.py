@@ -7,6 +7,19 @@ from hypcircle.spectral import amplitude, bundled_dataset
 I_POINT = Point(0.0, 1.0)
 
 
+def _mobius(g, p: Point) -> Point:
+    """z -> (az + b)/(cz + d) for an integer matrix g = (a, b, c, d) of determinant 1."""
+    a, b, c, d = g
+    z = (a * p.z + b) / (c * p.z + d)
+    return Point(z.real, z.imag)
+
+
+@pytest.fixture(scope="session")
+def mobius():
+    """The Mobius action, written independently of the package, for invariance checks."""
+    return _mobius
+
+
 @pytest.fixture(scope="session")
 def distances_14():
     """One enumeration at the desk ceiling, shared by the heavy experiments."""

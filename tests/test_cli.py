@@ -200,9 +200,15 @@ class TestJsonCommands:
     ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "0"],
     ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "-3"],
     ["scan-pointwise", "--alpha", "0.5", "--smax", "3"],
+    ["variance", "--alpha", "0.5", "--T", "2", "--tmax", "nan"],
+    ["shc", "--s", "3", "--t", "nan"],
+    ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "100", "--bins", "0"],
+    ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "100", "--bins", "-3"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_empty_window_rejected(capsys, tmp_path, argv):
-    # a window or sample set with nothing in it ends with exit 2, never NaN on stdout
+    # a window or sample set with nothing in it, a NaN spectral parameter or
+    # cut-off, or fewer than one histogram bin ends with exit 2 and one line,
+    # never NaN on stdout or a traceback
     if argv[0] == "moments":
         series = tmp_path / "series.csv"
         series.write_text("s,value\n0,1\n0.5,1\n1,1\n")

@@ -39,15 +39,14 @@ I = Point(0.0, 1.0)
 
 def const_series(c, T=16.0, step=1.0 / 64.0):
     n = int(T / step) + 1
-    return ErrorSeries(series=SampledSeries(0.0, step, np.full(n, c)),
-                       z=None, w=None, alpha=None, method="test")
+    return ErrorSeries(series=SampledSeries(0.0, step, np.full(n, c)), alpha=None)
 
 
 def cosine_series(A, freq, phase=0.3, T=400.0, step=1.0 / 64.0):
     n = int(T / step) + 1
     g = step * np.arange(n)
     return ErrorSeries(series=SampledSeries(0.0, step, A * np.cos(freq * g + phase)),
-                       z=None, w=None, alpha=None, method="test")
+                       alpha=None)
 
 
 class TestSampleError:
@@ -104,7 +103,7 @@ class TestSampleEAlpha:
             warnings.simplefilter("error")  # no MethodDisagreement expected
             err = sample_e_alpha(I, I, 0.5, 6.0, method="exact",
                                  distances=distances_14)
-        assert err.method == "exact"
+        assert np.array_equal(err.values, exact_e_alpha(distances_14, 0.5, 6.0))
 
     def test_boundedness_above_half(self, distances_14):
         err = sample_e_alpha(I, I, 0.75, 14.0, distances=distances_14)
@@ -329,6 +328,10 @@ class TestHybrid:
     def test_inv_T_schedule_rejected(self, distances_14):
         with pytest.raises(ScheduleViolation):
             hybrid_run(I, I, "inv-T", [6.0, 9.0, 12.0], distances=distances_14)
+
+    def test_unknown_schedule_rejected(self, distances_14):
+        with pytest.raises(ValidationError, match="unknown schedule"):
+            hybrid_run(I, I, "inv-cube", [6.0, 9.0, 12.0], distances=distances_14)
 
     def test_condition_quantity(self):
         assert schedule_condition(1.0 / 3.0, 9.0) == pytest.approx(

@@ -117,10 +117,3 @@ class TestFAlphaSum:
         vec = f_alpha_sum(amps_ii, 0.25, s)
         for k, sv in enumerate(s):
             assert vec[k] == pytest.approx(f_alpha_sum(amps_ii, 0.25, float(sv)), rel=1e-12)
-
-    def test_frequency_cutoff(self, amps_ii):
-        full = f_alpha_sum(amps_ii, 0.25, 2.0)
-        cut = f_alpha_sum(amps_ii, 0.25, 2.0, t_max=15.0)
-        only_first = f_alpha_sum([a for a in amps_ii if a.t < 15.0], 0.25, 2.0)
-        assert cut == pytest.approx(only_first, rel=1e-12)
-        assert cut != pytest.approx(full, rel=1e-6)

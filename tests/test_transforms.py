@@ -45,8 +45,9 @@ class TestShcDirect:
             assert abs(v0 - v1) <= 1e-10 * max(abs(v0), 1e-6)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            shc_direct(0.0, 1.0)
+        for s, t in [(0.0, 1.0), (3.0, math.nan), (3.0, math.inf), (math.inf, 1.0)]:
+            with pytest.raises(DomainError):
+                shc_direct(s, t)
 
 
 class TestHrClosed:
@@ -93,6 +94,11 @@ class TestHrClosed:
     def test_integer_it_rejected(self):
         with pytest.raises(ArgumentOutOfRange):
             h_r_closed(2.0, 1j)
+
+    def test_domain(self):
+        for R, t in [(0.0, 1.0), (3.0, math.nan), (3.0, complex(0.0, math.inf)), (math.inf, 1.0)]:
+            with pytest.raises(DomainError):
+                h_r_closed(R, t)
 
 
 class TestHtilde:
@@ -149,15 +155,17 @@ class TestShcFrac:
         # its radius variable
         from hypcircle.specfun import gauss_legendre
 
-        res = shc_frac(9.0, 7.0, 1.0, step=1.0 / 2048.0)
+        # s = 9.3 is not a multiple of the step: the value must still be taken at s
         x, w = gauss_legendre(32)
-        edges = np.linspace(0.0, 9.0, 33)
-        ref = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            nodes = lo + (hi - lo) * x
-            vals = np.array([shc_direct(float(v), 7.0) for v in nodes])
-            ref += (hi - lo) * float(np.sum(w * vals))
-        assert res.value == pytest.approx(ref, abs=1e-6)
+        for s in (9.0, 9.3):
+            res = shc_frac(s, 7.0, 1.0, step=1.0 / 2048.0)
+            edges = np.linspace(0.0, s, 33)
+            ref = 0.0
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                nodes = lo + (hi - lo) * x
+                vals = np.array([shc_direct(float(v), 7.0) for v in nodes])
+                ref += (hi - lo) * float(np.sum(w * vals))
+            assert res.value == pytest.approx(ref, abs=1e-6), s
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5])
     def test_main_term_error_decay(self, alpha):
@@ -182,5 +190,6 @@ class TestShcFrac:
     def test_domain(self):
         with pytest.raises(DomainError):
             shc_frac(1.0, 5.0, 0.5)
-        with pytest.raises(DomainError):
-            shc_frac(5.0, 0.0, 0.5)
+        for s, t in [(5.0, 0.0), (5.0, math.nan), (5.0, -math.inf), (math.inf, 1.0)]:
+            with pytest.raises(DomainError):
+                shc_frac(s, t, 0.5)
