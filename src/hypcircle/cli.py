@@ -25,6 +25,7 @@ from .counting import (
 )
 from .errors import HypCircleError, NonConvergence, ValidationError
 from .experiments import (
+    SYNTHETIC_STEP,
     ErrorSeries,
     distribution_estimate,
     first_moment,
@@ -173,11 +174,12 @@ def cmd_distribution(args):
     if args.bins is not None and args.bins < 1:
         raise ValidationError(f"--bins must be at least 1, got {args.bins}")
     if args.mode == "real":
-        err = sample_e_alpha(args.z, args.w, args.alpha, args.T, args.step)
+        step = DEFAULT_STEP if args.step is None else args.step
+        err = sample_e_alpha(args.z, args.w, args.alpha, args.T, step)
     else:
-        dataset = _dataset(args.spectral)
-        amps = amplitude(dataset, args.z, args.w)
-        err = synthetic_series(amps, args.alpha, args.L)
+        step = SYNTHETIC_STEP if args.step is None else args.step
+        amps = amplitude(_dataset(args.spectral), args.z, args.w)
+        err = synthetic_series(amps, args.alpha, args.L, step)
     est = distribution_estimate(err, bins="fd" if args.bins is None else args.bins)
     centers = 0.5 * (est.edges[:-1] + est.edges[1:])
     _write_csv(args.out, centers, est.counts)
@@ -266,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--T", type=float, default=12.0)
     sp.add_argument("--L", type=float, default=1e5)
-    sp.add_argument("--step", type=float, default=DEFAULT_STEP)
+    sp.add_argument("--step", type=float, default=None,
+                    help="sample step (default 1/512 real, 1/256 synthetic)")
     sp.add_argument("--spectral", default=None)
     sp.add_argument("--bins", type=int, default=None)
     sp.add_argument("--out", required=True)

@@ -42,6 +42,7 @@ __all__ = [
     "pointwise_scan",
     "distribution_estimate",
     "synthetic_series",
+    "SYNTHETIC_STEP",
     "hybrid_run",
     "pointwise_exponent",
     "method_budget",
@@ -353,14 +354,17 @@ def pointwise_scan(err: ErrorSeries) -> PointwiseScan:
 # limiting distribution
 # ---------------------------------------------------------------------------
 
-# Samples of the synthetic series evaluated per f_alpha_sum call.
+# Default sample step of the synthetic series, and samples per f_alpha_sum call.
+SYNTHETIC_STEP = 1.0 / 256.0
 _SYNTHETIC_CHUNK = 2_000_000
 
 
-def synthetic_series(amplitudes, order, L: float, step: float = 1.0 / 256.0) -> ErrorSeries:
+def synthetic_series(amplitudes, order, L: float, step: float = SYNTHETIC_STEP) -> ErrorSeries:
     """The almost-periodic model sampled as a series on [0, L]."""
-    if not L > 0.0:
-        raise ValidationError(f"series length L must be positive, got {L}")
+    if not 0.0 < L < math.inf:
+        raise ValidationError(f"series length L must be positive and finite, got {L}")
+    if not 0.0 < step < math.inf:
+        raise ValidationError(f"step must be positive and finite, got {step}")
     n = int(round(L / step)) + 1
     out = np.empty(n)
     alpha = _as_alpha(order)

@@ -1,9 +1,9 @@
 """Special functions the spectral side depends on.
 
 K-Bessel with imaginary order, Gauss 2F1 on the negative real axis, and the
-exponential-kernel incomplete integral.  Everything is double precision; the
-K-Bessel falls back to arbitrary precision on the narrow transition band
-where no double-precision representation is cancellation-free.
+exponential-kernel incomplete integral, all in double precision.  On the
+K-Bessel's transition band x ~ t the integral runs along a line shifted to
+the saddle (Gil, Segura and Temme, ACM TOMS 30, 2004).
 """
 
 from __future__ import annotations
@@ -123,14 +123,31 @@ def _besselk_cosint_scaled(t: float, x: float, refine: int = 0) -> float:
     return float(integral) * math.exp(log_scale)
 
 
-def _besselk_mpmath_scaled(t: float, x: float) -> float:
-    """Arbitrary-precision fallback for the transition band."""
-    import mpmath as mp
+def _besselk_line_scaled(t: float, x: float, refine: int = 0) -> float:
+    """exp(pi t/2) K_{it}(x) by the trapezoid rule on the line Im w = pi/2 - delta.
 
-    cancel_digits = 0.45 * max(0.0, 0.5 * math.pi * t - min(x, 0.5 * math.pi * t))
-    with mp.workdps(20 + int(cancel_digits)):
-        val = mp.besselk(mp.mpc(0, t), mp.mpf(x)) * mp.exp(0.5 * mp.pi * t)
-        return float(mp.re(val))
+    There 1/2 integral exp(-x cosh w + i t w) dw has the even integrand
+    exp(t delta - x sin(delta) cosh u) cos(t u - x cos(delta) sinh u).  For
+    x > t the line runs through the saddle, cos(delta) = t/x.  Otherwise, and
+    where x ~ t makes that line too close to pi/2, delta is the largest shift
+    with max(t, x) delta - x sin(delta) <= 4, so the peak exceeds the value by
+    at most e^4.  The step resolves the strip of half-width delta/2 to e^{-40}
+    and the saddle's width 1/sqrt(x sin delta); the sum stops e^{-45} below
+    the smaller of the peak and 1.  `refine` halves the step.
+    """
+    s, delta, step = max(t, x), 0.5 * math.pi, 1.0
+    while step > 1e-9:  # Newton from the right: the left side is convex in delta
+        step = max(0.0, s * delta - x * math.sin(delta) - 4.0) / (s - x * math.cos(delta))
+        delta -= step
+    if x > t:
+        delta = max(delta, math.acos(t / x))
+    decay, freq = math.sin(delta), math.cos(delta)
+    peak = t * delta - x * decay
+    h = min(math.pi * delta / 40.0, math.pi / math.sqrt(20.0 * x * decay)) / (1 << refine)
+    u_max = math.acosh(1.0 + (45.0 + max(peak, 0.0)) / (x * decay))
+    u = h * np.arange(int(u_max / h) + 2)
+    vals = np.exp(peak - x * decay * (np.cosh(u) - 1.0)) * np.cos(t * u - x * freq * np.sinh(u))
+    return float(h * (0.5 * vals[0] + np.sum(vals[1:])))
 
 
 def bessel_k_imag_scaled(t: float, x: float) -> float:
@@ -145,7 +162,7 @@ def bessel_k_imag_scaled(t: float, x: float) -> float:
         return _besselk_cosint_scaled(t, x)
     if _series_log_growth(t, x) <= _SERIES_MAX_LOG_GROWTH:
         return _besselk_series_scaled(t, x)
-    return _besselk_mpmath_scaled(t, x)
+    return _besselk_line_scaled(t, x)
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,14 @@ __all__ = [
 
 
 def _shc_panels(s: float, t: float) -> tuple[int, int]:
-    """Panel count and per-panel order; ~4 oscillations per 32-point panel."""
+    """Panel count and per-panel order; ~4 oscillations per 32-point panel.
+
+    DomainError past a ceiling of 4096 panels (|t| s ~ 1e5), far above the
+    t <= 100, s <= 10 the experiments use.
+    """
     oscillations = abs(t) * s / (2.0 * math.pi)
+    if max(oscillations / 4.0, s / 3.0) >= 4096:
+        raise DomainError(f"|t| s = {abs(t) * s:.3g} needs more than 4096 quadrature panels")
     panels = max(2, int(oscillations / 4.0) + 1, int(s / 3.0) + 1)
     return panels, 32
 

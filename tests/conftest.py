@@ -8,10 +8,16 @@ I_POINT = Point(0.0, 1.0)
 
 
 def _mobius(g, p: Point) -> Point:
-    """z -> (az + b)/(cz + d) for an integer matrix g = (a, b, c, d) of determinant 1."""
+    """z -> (az + b)/(cz + d) for an integer matrix g = (a, b, c, d) of determinant 1.
+
+    The image is written out as Im gz = y / |cz + d|^2, which uses ad - bc = 1;
+    complex division would form Im gz as (ad - bc) y by cancellation and lose
+    digits when |c|, |d| are large.
+    """
     a, b, c, d = g
-    z = (a * p.z + b) / (c * p.z + d)
-    return Point(z.real, z.imag)
+    x, y = p.x, p.y
+    denom = (c * x + d) ** 2 + (c * y) ** 2
+    return Point(((a * x + b) * (c * x + d) + a * c * y * y) / denom, y / denom)
 
 
 @pytest.fixture(scope="session")

@@ -169,6 +169,16 @@ class TestJsonCommands:
         assert out_path.read_text().startswith("s,value\n")
         assert payload["count"] > 0
 
+    def test_distribution_synthetic_step(self, capsys, tmp_path):
+        # --step sets the synthetic sample step; without it the step is 1/256
+        counts = []
+        for extra in ([], ["--step", "0.01"]):
+            code, out, _ = run(capsys, "distribution", "--mode", "synthetic", "--alpha", "0.5",
+                               "--L", "100", "--out", str(tmp_path / "hist.csv"), *extra)
+            assert code == 0
+            counts.append(json.loads(out)["count"])
+        assert counts == [25601, 10001]
+
     def test_hybrid(self, capsys):
         code, out, _ = run(capsys, "hybrid", "--schedule", "inv-sqrt",
                            "--Ts", "6,9,12")
@@ -204,9 +214,15 @@ class TestJsonCommands:
     ["shc", "--s", "3", "--t", "nan"],
     ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "100", "--bins", "0"],
     ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "100", "--bins", "-3"],
+    ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "inf"],
+    ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "100", "--step", "0"],
+    ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "100", "--step", "inf"],
+    ["distribution", "--mode", "real", "--alpha", "0.5", "--T", "2", "--step", "0"],
+    ["shc", "--s", "3", "--t", "1e300"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_empty_window_rejected(capsys, tmp_path, argv):
-    # a window or sample set with nothing in it, a NaN spectral parameter or
+    # a window or sample set with nothing in it, an infinite length, a step
+    # that is not positive and finite, a NaN or huge spectral parameter, a NaN
     # cut-off, or fewer than one histogram bin ends with exit 2 and one line,
     # never NaN on stdout or a traceback
     if argv[0] == "moments":

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -6,6 +10,21 @@ import pytest
 
 from hypcircle.errors import ArgumentOutOfRange, DomainError
 from hypcircle.specfun import bessel_k_imag_scaled, gauss_2f1, lower_incomplete_exp
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Recomputes every bundled norm (the top form, t = 26.447, reaches the band
+# x ~ t) and the amplitudes at z = w = i, then reports whether mpmath loaded.
+_NORMS_WITHOUT_MPMATH = """
+import sys
+from hypcircle.geometry import Point
+from hypcircle.spectral import SpectralDatum, amplitude, bundled_dataset, normalize_l2
+bundled = bundled_dataset()
+rel = max(abs(normalize_l2(SpectralDatum(t=f.t, parity=f.parity, coeffs=f.coeffs)) / f.l2norm - 1.0)
+          for f in bundled.forms)
+amplitude(bundled, Point(0.0, 1.0), Point(0.0, 1.0))
+print(len(bundled.forms), max(f.t for f in bundled.forms), rel, "mpmath" in sys.modules)
+"""
 
 
 class TestBesselKImag:
@@ -59,12 +78,50 @@ class TestBesselKImag:
             v1 = _besselk_cosint_scaled(t, x, refine=1)
             assert abs(v0 - v1) <= 1e-10 * max(abs(v0), 1e-4)
 
+    def test_line_rule_band_grid(self):
+        # the shifted-line rule against mpmath on every grid point where both
+        # the cosine integral and the series would cancel (x ~ t, t >~ 21.5)
+        from hypcircle import specfun as sf
+
+        band = [(t, x) for t in np.linspace(10.0, 61.0, 26) for x in t * np.geomspace(0.7, 4.5, 20)
+                if sf._cosint_log_cancel(t, x) > sf._COSINT_MAX_LOG_CANCEL
+                and sf._series_log_growth(t, x) > sf._SERIES_MAX_LOG_GROWTH]
+        band += [(26.447, 26.447), (61.0, 61.0), (40.0, 40.0 * (1.0 + 1e-9))]
+        assert len(band) > 150
+        for t, x in band:
+            with mp.workdps(40):
+                ref = float(mp.re(mp.besselk(mp.mpc(0, t), mp.mpf(x)) * mp.exp(0.5 * mp.pi * t)))
+            got = bessel_k_imag_scaled(t, x)
+            assert abs(got - ref) <= 1e-10 * (abs(ref) + 1e-2), (t, x, got, ref)
+
+    def test_line_rule_step_halving(self):
+        # halving the step of the shifted-line rule moves nothing at the 1e-10
+        # level, below, at and above x = t and deep in the decaying tail
+        from hypcircle.specfun import _besselk_line_scaled
+
+        for (t, x) in [(26.447, 30.0), (61.0, 52.0), (40.0, 40.0), (45.0, 47.0), (61.0, 230.0)]:
+            v0 = _besselk_line_scaled(t, x)
+            v1 = _besselk_line_scaled(t, x, refine=1)
+            assert abs(v0 - v1) <= 1e-10 * max(abs(v0), 1e-300)
+
     def test_transition_band_accuracy(self):
         # independent arbitrary-precision values across path switches
         mp.mp.dps = 30
         for (t, x) in [(3.0, 9.0), (12.0, 70.0), (26.0, 28.0), (26.0, 35.0)]:
             ref = float(mp.re(mp.besselk(mp.mpc(0, t), mp.mpf(x)) * mp.exp(0.5 * mp.pi * t)))
             assert bessel_k_imag_scaled(t, x) == pytest.approx(ref, rel=1e-9, abs=1e-14)
+
+
+def test_norms_reproduce_without_mpmath():
+    # no runtime path imports mpmath; the tests keep it as their oracle
+    proc = subprocess.run([sys.executable, "-c", _NORMS_WITHOUT_MPMATH],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    forms, t_top, rel, loaded = proc.stdout.split()
+    assert (forms, loaded) == ("24", "False")
+    assert abs(float(t_top) - 26.447) < 1e-3
+    assert float(rel) <= 1e-10
 
 
 class TestGauss2F1:

@@ -45,7 +45,8 @@ class TestShcDirect:
             assert abs(v0 - v1) <= 1e-10 * max(abs(v0), 1e-6)
 
     def test_domain(self):
-        for s, t in [(0.0, 1.0), (3.0, math.nan), (3.0, math.inf), (math.inf, 1.0)]:
+        for s, t in [(0.0, 1.0), (3.0, math.nan), (3.0, math.inf), (math.inf, 1.0),
+                     (3.0, 1e300), (3.0, -1e300), (1e300, 1.0)]:
             with pytest.raises(DomainError):
                 shc_direct(s, t)
 
