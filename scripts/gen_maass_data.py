@@ -38,6 +38,7 @@ from hypcircle.spectral.data import (
     pullback,
     _bessel_row_scaled,
     _hecke_row_scaled,
+    _required_terms,
 )
 
 T_MIN, T_MAX = 9.0, 26.8
@@ -127,13 +128,14 @@ def hecke_residual(a: np.ndarray) -> float:
 def automorphy_residual(datum: SpectralDatum, rng) -> float:
     """Max |phi(z) - phi(z*)| over random points, unnormalized scaled values."""
     worst = 0.0
+    cutoff = bessel_decay_cutoff(datum.t)
     for _ in range(4):
         x = float(rng.uniform(-0.5, 0.5))
         y = float(rng.uniform(0.35, 0.55))
         z = Point(x, y)
         zs = pullback(z)
-        n_z = int(math.ceil(bessel_decay_cutoff(datum.t) / (2.0 * math.pi * z.y)))
-        n_zs = int(math.ceil(bessel_decay_cutoff(datum.t) / (2.0 * math.pi * zs.y)))
+        n_z = _required_terms(cutoff, z.y)
+        n_zs = _required_terms(cutoff, zs.y)
         if max(n_z, n_zs) > datum.coeffs.size:
             continue
         v1 = _hecke_row_scaled(datum, [z.x], z.y, n_z)[0]

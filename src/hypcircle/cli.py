@@ -27,6 +27,7 @@ from .errors import HypCircleError, NonConvergence, ValidationError
 from .experiments import (
     SYNTHETIC_STEP,
     ErrorSeries,
+    _grid_size,
     distribution_estimate,
     first_moment,
     hybrid_run,
@@ -118,8 +119,10 @@ def cmd_count(args):
 
 
 def cmd_error_term(args):
+    # reject a bad order or an oversized grid before enumerating
     if args.alpha is not None:
-        _as_alpha(args.alpha)  # reject a bad order before enumerating
+        _as_alpha(args.alpha)
+    _grid_size(args.smax, args.step)
     if args.cache_in:
         distances = load_distances(args.cache_in, args.smax)
     else:

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import BallSpec, DistanceMultiset, list_distances
+from .counting import DEFAULT_POINT_CAP, BallSpec, DistanceMultiset, list_distances
 from .errors import (
+    MemoryBudgetExceeded,
     MethodDisagreement,
     ScheduleViolation,
     ValidationError,
@@ -87,10 +88,13 @@ class DistributionEstimate:
 
 
 def _grid_size(s_max: float, step: float) -> int:
-    """Number of samples k*step, k = 0, 1, ..., in [0, s_max]."""
-    if not step > 0.0:
-        raise ValidationError(f"step must be positive, got {step}")
-    return int(math.floor(s_max / step + 1e-9)) + 1
+    """Samples k*step in [0, s_max]; MemoryBudgetExceeded past DEFAULT_POINT_CAP."""
+    if not 0.0 < step < math.inf:
+        raise ValidationError(f"step must be positive and finite, got {step}")
+    span = s_max / step + 1e-9
+    if not span < DEFAULT_POINT_CAP:
+        raise MemoryBudgetExceeded(f"step {step} on [0, {s_max}] exceeds {DEFAULT_POINT_CAP} samples")
+    return math.floor(span) + 1
 
 
 def sample_error(z: Point, w: Point, s_max: float, step: float = DEFAULT_STEP,
@@ -100,9 +104,9 @@ def sample_error(z: Point, w: Point, s_max: float, step: float = DEFAULT_STEP,
     One enumeration at s_max supplies N at every grid point through prefix
     counts of the sorted distance list.
     """
+    grid = step * np.arange(_grid_size(s_max, step))
     if distances is None:
         distances = list_distances(BallSpec(z, w, s_max))
-    grid = step * np.arange(_grid_size(s_max, step))
     counts = np.searchsorted(distances.values, grid, side="right")
     vals = (counts - main_term(grid)) * np.exp(-0.5 * grid)
     series = SampledSeries(0.0, step, vals)
@@ -119,12 +123,13 @@ def sample_e_alpha(z: Point, w: Point, order, s_max: float,
     exact_e_alpha, which keeps each jump where it is, and cross-checks it
     against the grid path at 33 evenly spaced samples: it emits a
     MethodDisagreement warning when they differ by more than 10x
-    method_budget.  The order and the method are validated before the
-    enumeration.
+    method_budget.  The order, the method and the grid size are validated
+    before the enumeration.
     """
     alpha = _as_alpha(order)
     if method not in ("grid", "exact"):
         raise ValidationError(f"unknown method {method!r}")
+    _grid_size(s_max, step)
     if distances is None:
         distances = list_distances(BallSpec(z, w, s_max))
     if method == "grid":
@@ -363,9 +368,7 @@ def synthetic_series(amplitudes, order, L: float, step: float = SYNTHETIC_STEP) 
     """The almost-periodic model sampled as a series on [0, L]."""
     if not 0.0 < L < math.inf:
         raise ValidationError(f"series length L must be positive and finite, got {L}")
-    if not 0.0 < step < math.inf:
-        raise ValidationError(f"step must be positive and finite, got {step}")
-    n = int(round(L / step)) + 1
+    n = _grid_size(L, step)
     out = np.empty(n)
     alpha = _as_alpha(order)
     for lo in range(0, n, _SYNTHETIC_CHUNK):
@@ -451,6 +454,7 @@ def hybrid_run(z: Point, w: Point, schedule: str, T_values, step: float = DEFAUL
             raise ScheduleViolation(
                 f"condition value {cond:.4g} at T={T} exceeds {_CONDITION_MAX}")
     s_need = max(T_values)
+    _grid_size(s_need, step)
     if distances is None:
         distances = list_distances(BallSpec(z, w, s_need))
     out = []

@@ -1,20 +1,17 @@
 """Special functions the spectral side depends on.
 
 K-Bessel with imaginary order, Gauss 2F1 on the negative real axis, and the
-exponential-kernel incomplete integral, all in double precision.  On the
-K-Bessel's transition band x ~ t the integral runs along a line shifted to
-the saddle (Gil, Segura and Temme, ACM TOMS 30, 2004).
+exponential-kernel incomplete integral, all in double precision.  The
+K-Bessel is one trapezoid rule on its integral representation along a line
+shifted towards the saddle (Gil, Segura and Temme, ACM TOMS 30, 2004).
 """
 
 from __future__ import annotations
 
 import math
-import cmath
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma
-from scipy.special import k0 as _scipy_k0
 
 from .errors import (
     ArgumentOutOfRange,
@@ -46,83 +43,6 @@ def gauss_legendre(n: int):
 # K-Bessel with imaginary order
 # ---------------------------------------------------------------------------
 
-# Largest tolerated log-growth of ascending-series terms before the
-# accumulated cancellation would eat the 1e-10 accuracy target.
-_SERIES_MAX_LOG_GROWTH = 8.0
-# Largest tolerated log of (integrand peak / value) for the cosine integral.
-_COSINT_MAX_LOG_CANCEL = 8.0
-
-
-def _series_log_growth(t: float, x: float) -> float:
-    """Predicted log of max-term/first-term ratio for the ascending series."""
-    q = 0.25 * x * x
-    total = 0.0
-    k = 0
-    while k < 4000:
-        r = q / ((k + 1) * math.hypot(k + 1, t))
-        if r <= 1.0:
-            break
-        total += math.log(r)
-        k += 1
-    return total
-
-
-def _cosint_log_cancel(t: float, x: float) -> float:
-    """Saddle-point estimate of log(integrand peak / integral value).
-
-    The integrand peaks at exp(-x) while the value sits at the saddle
-    u = i arcsin(t/x) (capped at i pi/2), so the quadrature sum loses
-    roughly exp(t theta - x (1 - cos theta)) to cancellation.
-    """
-    if t <= 0.0:
-        return 0.0
-    theta = math.asin(min(1.0, t / x))
-    return t * theta - x * (1.0 - math.cos(theta))
-
-
-def _besselk_series_scaled(t: float, x: float) -> float:
-    """exp(pi t / 2) K_{it}(x) by the ascending series, all factors pre-scaled."""
-    if t == 0.0:
-        return float(_scipy_k0(x))
-    # K_{it}(x) = -pi Im(I_{it}(x)) / sinh(pi t); scale both sides by e^{pi t/2}.
-    g = math.exp(-0.5 * math.pi * t) / complex(gamma(1.0 + 1j * t))
-    q = 0.25 * x * x
-    acc = g
-    term = g
-    for k in range(1, 600):
-        term = term * q / (k * (k + 1j * t))
-        acc += term
-        if abs(term) <= 1e-17 * abs(acc):
-            break
-    rot = cmath.exp(1j * t * math.log(0.5 * x))
-    im = (rot * acc).imag
-    return -2.0 * math.pi * im / (-math.expm1(-2.0 * math.pi * t))
-
-
-def _besselk_cosint_scaled(t: float, x: float, refine: int = 0) -> float:
-    """exp(pi t/2) K_{it}(x) by trapezoidal quadrature of the cosine integral.
-
-    The integrand exp(-x cosh u) cos(t u) is even and analytic on the strip
-    |Im u| < pi/2, so the trapezoid rule converges geometrically.  The step
-    resolves both the strip (aliasing in the oscillation) and, for x > t,
-    the Gaussian concentration of width 1/sqrt(x) around u = 0.  The factor
-    exp(-x) is pulled out so the sum never underflows.  `refine` halves the
-    step for self-convergence tests.
-    """
-    h = min((math.pi ** 2) / (math.pi * abs(t) + 34.5),
-            2.0 * math.pi / (abs(t) + math.sqrt(60.0 * x)),
-            0.28) / (1 << refine)
-    u_max = math.acosh(1.0 + 46.0 / x)
-    n = int(u_max / h) + 2
-    u = h * np.arange(n + 1)
-    vals = np.exp(-x * (np.cosh(u) - 1.0)) * np.cos(t * u)
-    integral = h * (0.5 * vals[0] + np.sum(vals[1:]))
-    log_scale = 0.5 * math.pi * t - x
-    if log_scale < -700.0:
-        return 0.0
-    return float(integral) * math.exp(log_scale)
-
-
 def _besselk_line_scaled(t: float, x: float, refine: int = 0) -> float:
     """exp(pi t/2) K_{it}(x) by the trapezoid rule on the line Im w = pi/2 - delta.
 
@@ -151,18 +71,10 @@ def _besselk_line_scaled(t: float, x: float, refine: int = 0) -> float:
 
 
 def bessel_k_imag_scaled(t: float, x: float) -> float:
-    """exp(pi t / 2) K_{it}(x) for t >= 0, x > 0 (no underflow for moderate t)."""
+    """exp(pi t / 2) K_{it}(x) for real t, x > 0 (no underflow for moderate t)."""
     if not x > 0.0:
         raise DomainError(f"K_it requires x > 0, got x = {x}")
-    if t < 0.0:
-        t = -t  # K_{it} is even in t
-    if t == 0.0:
-        return float(_scipy_k0(x)) if x < 700 else _besselk_cosint_scaled(0.0, x)
-    if _cosint_log_cancel(t, x) <= _COSINT_MAX_LOG_CANCEL:
-        return _besselk_cosint_scaled(t, x)
-    if _series_log_growth(t, x) <= _SERIES_MAX_LOG_GROWTH:
-        return _besselk_series_scaled(t, x)
-    return _besselk_line_scaled(t, x)
+    return _besselk_line_scaled(abs(t), x)  # K_{it} is even in t
 
 
 # ---------------------------------------------------------------------------

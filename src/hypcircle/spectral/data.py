@@ -200,8 +200,9 @@ def bessel_decay_cutoff(t: float, log_tol: float = 21.0) -> float:
     return hi
 
 
-def _required_terms(t: float, y: float) -> int:
-    return max(1, int(math.ceil(bessel_decay_cutoff(t) / (2.0 * math.pi * y))))
+def _required_terms(cutoff: float, y: float) -> int:
+    """Fourier terms needed at height y, given cutoff = bessel_decay_cutoff(t)."""
+    return max(1, int(math.ceil(cutoff / (2.0 * math.pi * y))))
 
 
 def maass_value(datum: SpectralDatum, z: Point) -> float:
@@ -211,7 +212,7 @@ def maass_value(datum: SpectralDatum, z: Point) -> float:
     2cos (even) or 2sin (odd).  Raises InsufficientCoefficients if the
     expansion cannot reach ~1e-8 absolute truncation error at Im z.
     """
-    needed = _required_terms(datum.t, z.y)
+    needed = _required_terms(bessel_decay_cutoff(datum.t), z.y)
     if needed > datum.coeffs.size:
         raise InsufficientCoefficients(
             f"need {needed} coefficients at y = {z.y}, have {datum.coeffs.size}",
@@ -249,7 +250,8 @@ def normalize_l2(datum: SpectralDatum, refine: int = 0,
     """
     t = datum.t
     Y = truncation_height if truncation_height is not None else t / (2.0 * math.pi) + 3.0
-    needed = _required_terms(t, math.sqrt(3.0) / 2.0)
+    cutoff = bessel_decay_cutoff(t)
+    needed = _required_terms(cutoff, math.sqrt(3.0) / 2.0)
     if needed > datum.coeffs.size:
         raise InsufficientCoefficients(
             f"need {needed} coefficients for normalization, have {datum.coeffs.size}",
@@ -264,8 +266,7 @@ def normalize_l2(datum: SpectralDatum, refine: int = 0,
     for lo, hi in zip(edges[:-1], edges[1:]):
         ys = lo + (hi - lo) * ynodes
         for y, wgt in zip(ys, yw * (hi - lo)):
-            n_terms = _required_terms(t, y)
-            n_terms = min(n_terms, datum.coeffs.size)
+            n_terms = min(_required_terms(cutoff, y), datum.coeffs.size)
             ks = _bessel_row_scaled(t, y, n_terms)
             strip += wgt * 2.0 * float(np.sum((datum.coeffs[:n_terms] * ks) ** 2)) / y
 
@@ -277,7 +278,7 @@ def normalize_l2(datum: SpectralDatum, refine: int = 0,
     ys = y0 + (1.0 - y0) * yq
     for y, wy in zip(ys, yw2 * (1.0 - y0)):
         xc = math.sqrt(max(1.0 - y * y, 0.0))
-        n_terms = min(_required_terms(t, y), datum.coeffs.size)
+        n_terms = min(_required_terms(cutoff, y), datum.coeffs.size)
         xs = xc + (0.5 - xc) * xq
         vals = _hecke_row_scaled(datum, xs, y, n_terms)
         arc += wy * 2.0 * (0.5 - xc) * float(np.sum(xw * vals ** 2)) / (y * y)

@@ -218,19 +218,25 @@ class TestJsonCommands:
     ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "100", "--step", "0"],
     ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "100", "--step", "inf"],
     ["distribution", "--mode", "real", "--alpha", "0.5", "--T", "2", "--step", "0"],
+    ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "100", "--step", "1e-15"],
+    ["distribution", "--mode", "real", "--alpha", "0.5", "--step", "1e-15"],
+    ["error-term", "--smax", "3", "--step", "1e-15"],
+    ["error-term", "--smax", "3", "--step", "inf"],
+    ["hybrid", "--Ts", "6", "--step", "inf"],
     ["shc", "--s", "3", "--t", "1e300"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_empty_window_rejected(capsys, tmp_path, argv):
     # a window or sample set with nothing in it, an infinite length, a step
-    # that is not positive and finite, a NaN or huge spectral parameter, a NaN
-    # cut-off, or fewer than one histogram bin ends with exit 2 and one line,
-    # never NaN on stdout or a traceback
+    # that is not positive and finite or gives more samples than the cap, a
+    # NaN or huge spectral parameter, a NaN cut-off, or fewer than one
+    # histogram bin ends with exit 2 and one line, never NaN on stdout or a
+    # traceback
     if argv[0] == "moments":
         series = tmp_path / "series.csv"
         series.write_text("s,value\n0,1\n0.5,1\n1,1\n")
         argv = argv + ["--in", str(series)]
-    if argv[0] == "distribution":
-        argv = argv + ["--out", str(tmp_path / "hist.csv")]
+    if argv[0] in ("distribution", "error-term"):
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1

@@ -154,9 +154,9 @@ class TestFracIndicatorExp:
     def test_quadrature_oracle(self):
         # reference quadrature with the kernel singularity substituted away
         import mpmath as mp
-        mp.mp.dps = 25
         for (d, a, s) in [(0.5, 0.4, 3.0), (0.0, 0.25, 6.0), (2.0, 0.9, 2.5)]:
-            ref = float(mp.quad(
-                lambda v: mp.e ** (-(s - v ** (1.0 / a)) / 2), [0, (s - d) ** a])
-                / a / mp.gamma(a))
+            with mp.workdps(25):
+                ref = float(mp.quad(
+                    lambda v: mp.e ** (-(s - v ** (1.0 / a)) / 2), [0, (s - d) ** a])
+                    / a / mp.gamma(a))
             assert frac_indicator_exp(d, a, s) == pytest.approx(ref, rel=1e-10)

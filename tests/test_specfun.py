@@ -33,14 +33,14 @@ class TestBesselKImag:
         assert bessel_k_imag_scaled(0.0, 1.0) == pytest.approx(0.4210244382407085, rel=1e-12)
 
     def test_against_mpmath_grid(self):
-        mp.mp.dps = 30
         rng = np.random.default_rng(11)
         pts = [(1.0, 0.5), (13.78, 6.28), (26.0, 30.0), (26.0, 1.36), (60.0, 0.001),
                (60.0, 119.0), (45.0, 45.0), (9.53, 3.0)]
         pts += [(float(rng.uniform(0, 61)), float(10 ** rng.uniform(-3, 2.05)))
                 for _ in range(20)]
         for t, x in pts:
-            ref = float(mp.re(mp.besselk(mp.mpc(0, t), mp.mpf(x)) * mp.exp(0.5 * mp.pi * t)))
+            with mp.workdps(30):
+                ref = float(mp.re(mp.besselk(mp.mpc(0, t), mp.mpf(x)) * mp.exp(0.5 * mp.pi * t)))
             got = bessel_k_imag_scaled(t, x)
             # relative where the value is on the oscillation scale, absolute near zeros
             assert abs(got - ref) <= 1e-10 * (abs(ref) + 1e-2)
@@ -60,8 +60,8 @@ class TestBesselKImag:
 
     def test_moderate_decay_value(self):
         # far tail but still representable: must be accurate, not zeroed
-        mp.mp.dps = 40
-        ref = float(mp.besselk(mp.mpc(0, 5.0), mp.mpf(60.0)).real * mp.exp(2.5 * mp.pi))
+        with mp.workdps(40):
+            ref = float(mp.besselk(mp.mpc(0, 5.0), mp.mpf(60.0)).real * mp.exp(2.5 * mp.pi))
         assert bessel_k_imag_scaled(5.0, 60.0) == pytest.approx(ref, rel=1e-9)
 
     def test_domain_error(self):
@@ -69,27 +69,24 @@ class TestBesselKImag:
             bessel_k_imag_scaled(1.0, 0.0)
 
     def test_quadrature_node_doubling(self):
-        # halving the step of the cosine-integral rule moves nothing at the
-        # 1e-10 level
-        from hypcircle.specfun import _besselk_cosint_scaled
+        # halving the step of the line rule moves nothing at the 1e-10 level
+        # where x > t puts the line through the saddle
+        from hypcircle.specfun import _besselk_line_scaled
 
         for (t, x) in [(3.0, 9.0), (12.0, 70.0), (26.0, 45.0)]:
-            v0 = _besselk_cosint_scaled(t, x)
-            v1 = _besselk_cosint_scaled(t, x, refine=1)
+            v0 = _besselk_line_scaled(t, x)
+            v1 = _besselk_line_scaled(t, x, refine=1)
             assert abs(v0 - v1) <= 1e-10 * max(abs(v0), 1e-4)
 
     def test_line_rule_band_grid(self):
-        # the shifted-line rule against mpmath on every grid point where both
-        # the cosine integral and the series would cancel (x ~ t, t >~ 21.5)
-        from hypcircle import specfun as sf
-
-        band = [(t, x) for t in np.linspace(10.0, 61.0, 26) for x in t * np.geomspace(0.7, 4.5, 20)
-                if sf._cosint_log_cancel(t, x) > sf._COSINT_MAX_LOG_CANCEL
-                and sf._series_log_growth(t, x) > sf._SERIES_MAX_LOG_GROWTH]
+        # the line rule against mpmath on a grid from x << t (small-x series
+        # territory) through the band x ~ t to x >> t (real-axis integral),
+        # plus the extremes of each: t = 0, tiny x, huge x, large t
+        band = [(t, x) for t in np.linspace(10.0, 61.0, 13) for x in t * np.geomspace(0.02, 8.0, 14)]
         band += [(26.447, 26.447), (61.0, 61.0), (40.0, 40.0 * (1.0 + 1e-9))]
-        assert len(band) > 150
+        band += [(0.0, 1e-3), (0.0, 700.0), (0.05, 800.0), (63.0, 0.0035), (150.0, 0.05)]
         for t, x in band:
-            with mp.workdps(40):
+            with mp.workdps(max(40, 30 + int(0.45 * t))):
                 ref = float(mp.re(mp.besselk(mp.mpc(0, t), mp.mpf(x)) * mp.exp(0.5 * mp.pi * t)))
             got = bessel_k_imag_scaled(t, x)
             assert abs(got - ref) <= 1e-10 * (abs(ref) + 1e-2), (t, x, got, ref)
@@ -106,9 +103,9 @@ class TestBesselKImag:
 
     def test_transition_band_accuracy(self):
         # independent arbitrary-precision values across path switches
-        mp.mp.dps = 30
         for (t, x) in [(3.0, 9.0), (12.0, 70.0), (26.0, 28.0), (26.0, 35.0)]:
-            ref = float(mp.re(mp.besselk(mp.mpc(0, t), mp.mpf(x)) * mp.exp(0.5 * mp.pi * t)))
+            with mp.workdps(30):
+                ref = float(mp.re(mp.besselk(mp.mpc(0, t), mp.mpf(x)) * mp.exp(0.5 * mp.pi * t)))
             assert bessel_k_imag_scaled(t, x) == pytest.approx(ref, rel=1e-9, abs=1e-14)
 
 
@@ -138,11 +135,11 @@ class TestGauss2F1:
         assert gauss_2f1(a, b, c, x) == pytest.approx(acc, rel=1e-12)
 
     def test_against_mpmath(self):
-        mp.mp.dps = 30
         for x in (-0.95, -0.6, -0.2, -0.01):
             for tc in (0.7, 4.0, 31.0):
                 got = gauss_2f1(-0.5, 1.5, 1.0 - 1j * tc, x)
-                ref = complex(mp.hyp2f1(-0.5, 1.5, mp.mpc(1.0, -tc), x))
+                with mp.workdps(30):
+                    ref = complex(mp.hyp2f1(-0.5, 1.5, mp.mpc(1.0, -tc), x))
                 assert abs(got - ref) <= 1e-10 * abs(ref)
 
     def test_domain_errors(self):
@@ -163,10 +160,10 @@ class TestLowerIncompleteExp:
     def test_quadrature_oracle(self):
         # substitution u = v^(1/alpha) removes the endpoint singularity so the
         # reference quadrature is trustworthy
-        mp.mp.dps = 30
         for alpha, X in [(0.5, 1.0), (0.25, 7.0), (0.8, 14.0)]:
-            ref = float(mp.quad(lambda v: mp.e ** (v ** (1.0 / alpha) / 2), [0, X ** alpha])
-                        / alpha)
+            with mp.workdps(30):
+                ref = float(mp.quad(lambda v: mp.e ** (v ** (1.0 / alpha) / 2), [0, X ** alpha])
+                            / alpha)
             assert lower_incomplete_exp(alpha, X) == pytest.approx(ref, rel=1e-11)
 
     def test_vectorized_matches_scalar(self):

@@ -17,11 +17,11 @@ from hypcircle.spectral.transforms import (
 
 def shc_reference(s, t, dps=25):
     """Independent quadrature with subdivision at the oscillation scale."""
-    mp.mp.dps = dps
     n = max(4, int(abs(t) * s / math.pi) + 1)
     pts = [s * k / n for k in range(n + 1)]
     f = lambda r: mp.sqrt(mp.cosh(s) - mp.cosh(r)) * mp.cos(r * t)
-    return float(2 ** 1.5 * mp.e ** (-s / 2) * 2 * mp.quad(f, pts))
+    with mp.workdps(dps):
+        return float(2 ** 1.5 * mp.e ** (-s / 2) * 2 * mp.quad(f, pts))
 
 
 class TestShcDirect:
@@ -85,11 +85,11 @@ class TestHrClosed:
         # the two-half-term closed form must match direct quadrature for
         # imaginary order too: h_R(i tau) = 2^{3/2} int (cosh R - cosh r)^{1/2} cosh(tau r).
         # At tau = 5/2, Gamma(3/2 - tau) has a pole and its half term vanishes.
-        mp.mp.dps = 25
         R = 2.0
         for tau in (0.3, 2.5):
-            ref = float(2 ** 1.5 * 2 * mp.quad(
-                lambda r: mp.sqrt(mp.cosh(R) - mp.cosh(r)) * mp.cosh(tau * r), [0, R]))
+            with mp.workdps(25):
+                ref = float(2 ** 1.5 * 2 * mp.quad(
+                    lambda r: mp.sqrt(mp.cosh(R) - mp.cosh(r)) * mp.cosh(tau * r), [0, R]))
             assert h_r_closed(R, 1j * tau).value == pytest.approx(ref, rel=1e-10)
 
     def test_integer_it_rejected(self):
