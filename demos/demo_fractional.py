@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from hypcircle import FracOrder, Point, SampledSeries, frac_integrate
+from hypcircle import Point, SampledSeries, frac_integrate
 from hypcircle.counting import BallSpec, list_distances
 from hypcircle.experiments import sample_e_alpha, sample_error
 
@@ -21,7 +21,7 @@ grid = step * np.arange(n)
 print("closed-form checks: the operator applied to 1 gives s^a/Gamma(a+1):")
 ones = SampledSeries(0.0, step, np.ones(n))
 for alpha in (0.25, 0.5, 0.75):
-    out = frac_integrate(ones, FracOrder(alpha)).values
+    out = frac_integrate(ones, alpha).values
     s = 5.0
     k = int(round(s / step))
     ref = s ** alpha / math.gamma(alpha + 1.0)

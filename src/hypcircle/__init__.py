@@ -10,7 +10,6 @@ from .counting import (
     required_entry_bound,
 )
 from .fracint import (
-    FracOrder,
     SampledSeries,
     frac_integrate,
     frac_exp_reference,
@@ -28,7 +27,6 @@ __all__ = [
     "list_distances",
     "brute_force_count",
     "required_entry_bound",
-    "FracOrder",
     "SampledSeries",
     "frac_integrate",
     "frac_exp_reference",

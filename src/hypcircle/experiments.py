@@ -120,9 +120,10 @@ def sample_e_alpha(z: Point, w: Point, order, s_max: float,
 
     method="grid" integrates the sampled e(s) with the product rule, which
     moves every orbit jump to the next sample.  method="exact" takes
-    exact_e_alpha, which keeps each jump where it is, and cross-checks it
-    against the grid path at 33 evenly spaced samples: it emits a
-    MethodDisagreement warning when they differ by more than 10x
+    exact_e_alpha, which keeps each jump where it is (a direct sum into the
+    next sample, a degree-18 Chebyshev expansion of the kernel beyond it),
+    and cross-checks it against the grid path at 33 evenly spaced samples:
+    it emits a MethodDisagreement warning when they differ by more than 10x
     method_budget.  The order, the method and the grid size are validated
     before the enumeration.
     """
@@ -149,31 +150,7 @@ def sample_e_alpha(z: Point, w: Point, order, s_max: float,
     return ErrorSeries(series=series, alpha=alpha)
 
 
-# Near/far split of exact_e_alpha: a distance in grid cell k is summed
-# directly into samples k+1 .. k+_NEAR_CELLS and through a Taylor expansion
-# of order _TAYLOR_ORDER into the samples beyond.
-_NEAR_CELLS = 16
-_TAYLOR_ORDER = 10
-
-
-def _kernel_derivatives(alpha: float, X: np.ndarray) -> np.ndarray:
-    """Rows L^(r)(X), r = 0.._TAYLOR_ORDER, of L(X) = int_0^X e^{u/2} u^{alpha-1} du.
-
-    L' = e^{X/2} X^{alpha-1}, so by the Leibniz rule
-    L^(r+1)(X) = e^{X/2} sum_{j<=r} C(r, j) 2^{j-r} (alpha-1)...(alpha-j) X^{alpha-1-j}.
-    Requires X > 0.
-    """
-    powers = np.empty((_TAYLOR_ORDER, X.size))  # (alpha-1)...(alpha-j) X^{alpha-1-j}
-    powers[0] = X ** (alpha - 1.0)
-    for j in range(1, _TAYLOR_ORDER):
-        powers[j] = powers[j - 1] * (alpha - j) / X
-    rows = np.empty((_TAYLOR_ORDER + 1, X.size))
-    rows[0] = lower_incomplete_exp(alpha, X)
-    half_exp = np.exp(0.5 * X)
-    for r in range(_TAYLOR_ORDER):
-        coef = [math.comb(r, j) * 0.5 ** (r - j) for j in range(r + 1)]
-        rows[r + 1] = half_exp * (np.asarray(coef) @ powers[: r + 1])
-    return rows
+_CHEB_DEGREE = 18  # of the interpolant of L on every cell past the first
 
 
 def exact_e_alpha(distances: DistanceMultiset, alpha: float, s_max: float,
@@ -184,20 +161,23 @@ def exact_e_alpha(distances: DistanceMultiset, alpha: float, s_max: float,
     with L(X) = int_0^X e^{u/2} u^{alpha-1} du, summed over the distance
     multiset with multiplicity; the jumps are not moved to the grid.
 
-    A distance d in cell k (s_k <= d < s_{k+1}, offset delta = d - s_k)
-    reaches every s_{k+m}, m >= 1.  Near field, m <= q = 16: L(s_{k+m} - d)
-    is summed directly, because L is not smooth at 0 (L(X) ~ X^alpha/alpha).
-    Far field, m > q: L(m*step - delta) is the order p = 10 Taylor
-    polynomial about m*step, so each order r is one convolution of the cell
-    moments sum (-delta)^r/r! with the row L^(r)(m*step).  Cost: O(q N)
-    for the near field plus p+1 direct convolutions of length n = len(grid),
-    O(p n^2), against O(n N) for a direct sum.
+    A distance d in cell k (s_k <= d < s_{k+1}) reaches every s_{k+m}.  For
+    m = 1, L(s_{k+1} - d) is summed directly: L(X) ~ X^alpha/alpha is not
+    analytic at 0.  For m >= 2, L(m*step - delta), delta = d - s_k =
+    step (x+1)/2, is replaced by its interpolant sum_{j<=J} c_j(m) T_j(x) in
+    the J+1 Chebyshev points, J = 18, so degree j adds one convolution of
+    the cell moments sum T_j(x) with the row c_j.  Cost O(J (N + n^2)) for
+    N distances and n samples, against O(n N) for a direct sum.
 
-    Error bound: the Taylor remainder of each far-field term, relative to
-    that term, is at most e^{(q+1)h/2} (1 + q h/2) q^{-(p+1)} / (p+1) with
-    h = step (5.3e-15 at the default step), so the truncation error of
-    e_alpha(s) is at most that times e_alpha(s) + 3 I_alpha(e^{t/2})(s), the
-    sum of the positive jump terms.
+    Error bound: L(m*step - delta) is singular at x = 2m-1, outside the
+    Bernstein ellipse of every rho < 2m-1 + sqrt((2m-1)^2 - 1) (5.83 at
+    m = 2), so the interpolant is within 4 M rho^{-J}/(rho-1) of it, twice
+    the truncated series' 2 M rho^{-J}/(rho-1) (Trefethen, Approximation
+    Theory and Approximation Practice, SIAM 2013, Thm 8.2); M is the largest
+    |L| on the ellipse over L on the cell.  At rho = 5.8 and the default
+    step, M <= 3.0 for every m >= 2 and alpha, so the truncation error of
+    e_alpha(s) is at most 4.5e-14 times the sum of the positive jump terms,
+    e_alpha(s) + 3 I_alpha(e^{t/2})(s).
     """
     alpha = _as_alpha(alpha)
     n = _grid_size(s_max, step)
@@ -205,23 +185,28 @@ def exact_e_alpha(distances: DistanceMultiset, alpha: float, s_max: float,
     d = distances.values
     # s_k <= d < s_{k+1}: sample j is reached when d < s_j, as in a direct sum
     k = np.searchsorted(grid, d, side="right") - 1
-    acc = np.zeros(n)
-    for m in range(1, _NEAR_CELLS + 1):
-        reach = int(np.searchsorted(k, n - m))  # k is sorted; k + m < n
-        j = k[:reach] + m
-        acc += np.bincount(j, weights=lower_incomplete_exp(alpha, grid[j] - d[:reach]),
-                           minlength=n)
-    far = n - _NEAR_CELLS - 1  # samples with m > q; cells k < far reach them
-    if far > 0:
-        rows = _kernel_derivatives(alpha, grid[_NEAR_CELLS + 1:])
-        reach = int(np.searchsorted(k, far))
-        cell = k[:reach]
-        neg_delta = grid[cell] - d[:reach]
-        weight = np.ones(reach)
-        for r in range(_TAYLOR_ORDER + 1):
-            moment = np.bincount(cell, weights=weight, minlength=far)
-            acc[_NEAR_CELLS + 1:] += np.convolve(moment, rows[r])[:far]
-            weight = weight * neg_delta / (r + 1)
+    near = k[:np.searchsorted(k, n - 1)] + 1  # k is sorted; k + 1 < n
+    acc = np.bincount(near, weights=lower_incomplete_exp(alpha, grid[near] - d[:near.size]),
+                      minlength=n)
+    cells = n - 2  # cells k < n-2 reach the samples k+m, m >= 2
+    if cells > 0:
+        deg = np.arange(_CHEB_DEGREE + 1)
+        # T_j(x_i) = cos(pi i j / J) at the Chebyshev points x_i = cos(pi i / J)
+        cheb = np.cos(np.pi / _CHEB_DEGREE * (np.outer(deg, deg) % (2 * _CHEB_DEGREE)))
+        ends = np.where(deg % _CHEB_DEGREE, 1.0, 0.5)  # the DCT-I halves i, j = 0, J
+        offset = 0.5 * (cheb[1, :, None] + 1.0)  # delta/step at the nodes
+        kernel = lower_incomplete_exp(alpha, step * (np.arange(2, n) - offset))
+        # a constant moves c_0 only; taken out, c_j (j >= 1) round with the variation of L
+        centre = kernel[_CHEB_DEGREE // 2]
+        coef = 2.0 / _CHEB_DEGREE * np.outer(ends, ends) * cheb @ (kernel - centre)
+        coef[0] += centre
+        cell = k[:np.searchsorted(k, cells)]
+        x = 2.0 * (d[:cell.size] - grid[cell]) / step - 1.0
+        t_prev, t_cur = np.zeros(cell.size), np.ones(cell.size)
+        for j in range(_CHEB_DEGREE + 1):
+            moment = np.bincount(cell, weights=t_cur, minlength=cells)
+            acc[2:] += np.convolve(moment, coef[j])[:cells]
+            t_prev, t_cur = t_cur, (2.0 if j else 1.0) * x * t_cur - t_prev
     main = _VOL_COEFF * frac_exp_reference(0.5, alpha, grid)
     return np.exp(-0.5 * grid) * acc / math.gamma(alpha) - main
 

@@ -20,7 +20,6 @@ from .errors import DomainError, NonConvergence, ValidationError
 from .specfun import gauss_legendre, lower_incomplete_exp
 
 __all__ = [
-    "FracOrder",
     "SampledSeries",
     "frac_integrate",
     "frac_exp_reference",
@@ -32,20 +31,12 @@ __all__ = [
 DEFAULT_STEP = 1.0 / 512.0
 
 
-@dataclass(frozen=True)
-class FracOrder:
-    """A fractional-integration order in (0, 1]."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValidationError(f"order must lie in (0, 1], got {self.alpha}")
-
-
 def _as_alpha(order) -> float:
-    """The order as a float, validated through FracOrder."""
-    return order.alpha if isinstance(order, FracOrder) else FracOrder(float(order)).alpha
+    """The order as a float, validated to lie in (0, 1]."""
+    alpha = float(order)
+    if not 0.0 < alpha <= 1.0:
+        raise ValidationError(f"order must lie in (0, 1], got {alpha}")
+    return alpha
 
 
 @dataclass(frozen=True)

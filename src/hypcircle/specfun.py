@@ -71,9 +71,9 @@ def _besselk_line_scaled(t: float, x: float, refine: int = 0) -> float:
 
 
 def bessel_k_imag_scaled(t: float, x: float) -> float:
-    """exp(pi t / 2) K_{it}(x) for real t, x > 0 (no underflow for moderate t)."""
-    if not x > 0.0:
-        raise DomainError(f"K_it requires x > 0, got x = {x}")
+    """exp(pi t / 2) K_{it}(x) for finite real t, x > 0 (no underflow for moderate t)."""
+    if not (0.0 < x < math.inf and math.isfinite(t)):
+        raise DomainError(f"K_it requires finite t and 0 < x < inf, got t = {t}, x = {x}")
     return _besselk_line_scaled(abs(t), x)  # K_{it} is even in t
 
 

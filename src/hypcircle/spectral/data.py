@@ -54,17 +54,17 @@ class SpectralDatum:
     l2norm: float | None = None
 
     def __post_init__(self):
-        if not self.t > 0.0:
-            raise ValidationError(f"spectral parameter must be > 0, got {self.t}")
+        if not 0.0 < self.t < math.inf:
+            raise ValidationError(f"spectral parameter must be positive and finite, got {self.t}")
         if self.parity not in ("even", "odd"):
             raise ValidationError(f"parity must be even|odd, got {self.parity!r}")
         coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise ValidationError("coefficient list must be nonempty")
+        if coeffs.ndim != 1 or coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
+            raise ValidationError("coefficient list must be nonempty and finite")
         if coeffs[0] != 1.0:
             raise ValidationError(f"a_1 must equal 1, got {coeffs[0]}")
-        if self.l2norm is not None and not self.l2norm > 0.0:
-            raise ValidationError(f"l2norm must be positive, got {self.l2norm}")
+        if self.l2norm is not None and not 0.0 < self.l2norm < math.inf:
+            raise ValidationError(f"l2norm must be positive and finite, got {self.l2norm}")
         object.__setattr__(self, "coeffs", coeffs)
 
 

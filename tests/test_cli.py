@@ -242,6 +242,32 @@ def test_empty_window_rejected(capsys, tmp_path, argv):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "50"],
+    ["variance", "--alpha", "0.5", "--T", "3"],
+], ids=["distribution", "variance"])
+@pytest.mark.parametrize("bad", ["t=inf", "coeff=nan", "l2norm=inf"])
+def test_non_finite_spectral_file_rejected(capsys, tmp_path, command, bad):
+    # the first bundled form with one field made non-finite: exit 2 and one
+    # line naming the file's line, never a traceback
+    from hypcircle.spectral import bundled_dataset
+    from hypcircle.spectral.data import dump_spectral_data
+    header, form = dump_spectral_data(bundled_dataset()).splitlines()[:2]
+    t_tok, _, l2_tok, _ = form.split()
+    form = {"t=inf": form.replace(t_tok, "t=inf"),
+            "coeff=nan": form.replace("coeffs=", "coeffs=nan,"),
+            "l2norm=inf": form.replace(l2_tok, "l2norm=inf")}[bad]
+    path = tmp_path / "forms.txt"
+    path.write_text(header + "\n" + form + "\n", encoding="utf-8")
+    argv = command + ["--spectral", str(path)]
+    if command[0] == "distribution":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "forms.txt:2:" in err
+
+
 def test_emit_rejects_non_finite(capsys):
     with pytest.raises(ValidationError, match="result for ratio"):
         _emit({"empirical": 1.0, "ratio": math.inf})

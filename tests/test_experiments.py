@@ -168,12 +168,18 @@ class TestExactEAlpha:
         ref = np.concatenate([[0.0], np.cumsum(inc)])
         assert np.max(np.abs(vals - ref)) <= 1e-11
 
-    @pytest.mark.parametrize("s_max, step", [(2.0, 0.25), (0.02, DEFAULT_STEP)])
-    def test_grid_shorter_than_near_field(self, s_max, step):
-        dist = list_distances(BallSpec(I, I, s_max))
+    @pytest.mark.parametrize("samples", [1, 2, 3])
+    @pytest.mark.parametrize("z, w", [(I, I), (Point(0.2, 1.3), Point(-0.1, 0.9))],
+                             ids=["i", "generic"])
+    def test_shortest_grids(self, samples, z, w):
+        # 1 and 2 samples reach no cell past the first; 3 samples reach one,
+        # which holds d = 0 (z = w = i) or d = 0.18 and 0.46 (the generic pair)
+        step = 0.6
+        s_max = step * (samples - 1) + 0.1
+        dist = list_distances(BallSpec(z, w, s_max))
         vals = exact_e_alpha(dist, 0.3, s_max, step)
-        assert vals.size <= experiments._NEAR_CELLS
-        ref = direct_sum_e_alpha(dist, 0.3, step * np.arange(vals.size))
+        assert vals.size == samples
+        ref = direct_sum_e_alpha(dist, 0.3, step * np.arange(samples))
         assert np.max(np.abs(vals - ref)) <= 1e-13
 
     def test_radius_zero(self):

@@ -6,7 +6,6 @@ from scipy.special import gamma
 
 from hypcircle.errors import DomainError, ValidationError
 from hypcircle.fracint import (
-    FracOrder,
     SampledSeries,
     frac_exp_reference,
     frac_indicator_exp,
@@ -25,12 +24,15 @@ def make_series(fn, s_max=15.0, step=STEP):
 
 class TestTypes:
     def test_frac_order_range(self):
-        FracOrder(1.0)
-        FracOrder(1e-6)
+        ones = SampledSeries(0.0, STEP, np.ones(4))
+        frac_integrate(ones, 1.0)
+        frac_integrate(ones, 1e-6)
         with pytest.raises(ValidationError):
-            FracOrder(0.0)
+            frac_integrate(ones, 0.0)
         with pytest.raises(ValidationError):
-            FracOrder(1.2)
+            frac_integrate(ones, 1.2)
+        with pytest.raises(ValidationError):
+            frac_integrate(ones, math.nan)
 
     def test_series_invariants(self):
         with pytest.raises(ValidationError):

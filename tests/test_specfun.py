@@ -68,6 +68,12 @@ class TestBesselKImag:
         with pytest.raises(DomainError):
             bessel_k_imag_scaled(1.0, 0.0)
 
+    @pytest.mark.parametrize("t, x", [(1.0, math.inf), (math.nan, 1.0), (math.inf, 1.0),
+                                      (-math.inf, 1.0)])
+    def test_non_finite_arguments(self, t, x):
+        with pytest.raises(DomainError):
+            bessel_k_imag_scaled(t, x)
+
     def test_quadrature_node_doubling(self):
         # halving the step of the line rule moves nothing at the 1e-10 level
         # where x > t puts the line through the saddle

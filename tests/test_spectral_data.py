@@ -72,6 +72,16 @@ class TestParser:
         with pytest.raises(ValidationError):
             SpectralDataset(group="PSL2Z", forms=(f1, f2))
 
+    @pytest.mark.parametrize("fields", [
+        "t=inf parity=odd l2norm=none coeffs=0.1",
+        "t=9.5 parity=odd l2norm=none coeffs=0.1,nan",
+        "t=9.5 parity=odd l2norm=none coeffs=inf,0.1",
+        "t=9.5 parity=odd l2norm=inf coeffs=0.1",
+    ], ids=["t_inf", "coeff_nan", "coeff_inf", "l2norm_inf"])
+    def test_non_finite_rejected(self, fields):
+        with pytest.raises(ParseError, match=":2: "):
+            parse_spectral_data("#group=PSL2Z #source=x\n" + fields + "\n")
+
     def test_bad_numeric(self):
         text = "#group=PSL2Z #source=x\nt=abc parity=odd l2norm=none coeffs=0.1\n"
         with pytest.raises(ParseError):
