@@ -278,31 +278,29 @@ def _cosh_dist(zc: complex, wc: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# binary cache format: u64 count then little-endian f64 distances
+# binary cache format: f64 radius then little-endian f64 distances <= radius
 # ---------------------------------------------------------------------------
 
 def save_distances(path, multiset: DistanceMultiset):
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", multiset.count))
+        fh.write(struct.pack("<d", multiset.s))
         fh.write(multiset.values.astype("<f8").tobytes())
 
 
 def load_distances(path, s: float) -> DistanceMultiset:
     """The cached distances <= s; a cache written at a larger radius is cut to s.
 
-    The file records no radius, so a cache written at a smaller radius than
-    s cannot be told apart and is read as it is.
+    One written at a smaller radius is rejected, and so is the older layout:
+    its u64 count reads as a subnormal radius.
     """
     with open(path, "rb") as fh:
-        head = fh.read(8)
-        body = fh.read()
-    if len(head) != 8:
-        raise ValidationError(f"truncated distance file {path}")
-    (n,) = struct.unpack("<Q", head)
-    if len(body) != 8 * n:
-        raise ValidationError(
-            f"distance file {path} declares {n} values but holds {len(body)} bytes after the count")
-    # checks every stored value (finite, >= 0, sorted) before the cut
-    stored = DistanceMultiset(values=np.frombuffer(body, dtype="<f8").copy(), s=math.inf)
+        raw = fh.read()
+    if len(raw) < 8 or len(raw) % 8:
+        raise ValidationError(f"distance file {path} holds {len(raw)} bytes, not a positive multiple of 8")
+    (radius,) = struct.unpack("<d", raw[:8])
+    if not radius >= s:
+        raise ValidationError(f"distance file {path} was written at radius {radius:g}, below {s:g}")
+    # checks every stored value (finite, in [0, radius], sorted) before the cut
+    stored = DistanceMultiset(values=np.frombuffer(raw[8:], dtype="<f8").copy(), s=radius)
     keep = int(np.searchsorted(stored.values, s, side="right"))
     return DistanceMultiset(values=stored.values[:keep], s=s)

@@ -2,9 +2,9 @@
 
 shc_direct evaluates the transform of the normalized indicator kernel by
 quadrature; h_r_closed evaluates the same object through hypergeometric /
-Bessel closed forms; shc_frac pushes the transform through fractional
-integration in the radius variable and carries the large-frequency main term
-alongside for comparison.
+Bessel closed forms; shc_frac integrates the transform fractionally in the
+radius variable by a Gauss-Jacobi rule and carries the large-frequency main
+term alongside for comparison.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from scipy.special import i1 as _bessel_i1
 from scipy.special import j1 as _bessel_j1
 
 from ..errors import ArgumentOutOfRange, DomainError
-from ..fracint import DEFAULT_STEP, SampledSeries, _as_alpha, frac_integrate
+from ..fracint import _as_alpha, frac_integral_at
 from ..specfun import gauss_2f1, gauss_legendre
 
 __all__ = [
@@ -32,6 +32,12 @@ __all__ = [
     "ShcFracResult",
     "r_alpha",
 ]
+
+
+_MAX_RADIUS = 709.78  # log of the largest double: cosh and sinh overflow past it
+
+# shc_frac's nodes times shc_direct_grid's: 128 MiB per (radius, node) array
+_SHC_FRAC_NODE_BUDGET = 1 << 24
 
 
 def _shc_panels(s: float, t: float) -> tuple[int, int]:
@@ -77,6 +83,8 @@ def shc_direct_grid(s_values: np.ndarray, t: float, refine: int = 0) -> np.ndarr
         return out
     s_pos = s_values[pos]
     s_top = float(np.max(s_pos))
+    if not s_top <= _MAX_RADIUS:
+        raise DomainError(f"requires s <= {_MAX_RADIUS}, where cosh overflows; got {s_top}")
     panels, order = _shc_panels(s_top, t)
     panels <<= refine
     x, wq = gauss_legendre(order)
@@ -104,7 +112,8 @@ class HrResult:
 
 
 def _hr_halfterm(R: float, tc: complex) -> complex:
-    x = 1.0 / (1.0 - math.exp(2.0 * R))
+    # 1 / (1 - e^{2R}), written so that e^{2R} is never formed
+    x = -math.exp(-2.0 * R) / -math.expm1(-2.0 * R)
     # 1/Gamma is entire: it is 0 where 3/2 + i t is a pole of Gamma
     return (cmath.exp(1j * tc * R) * gamma(1j * tc)
             * rgamma(1.5 + 1j * tc) * gauss_2f1(-0.5, 1.5, 1.0 - 1j * tc, x))
@@ -118,8 +127,8 @@ def h_r_closed(R: float, t: complex) -> HrResult:
     its O(R^2 e^{R |Im t|} min(R^2, |t|^-2)) envelope in error_bound.
     Purely imaginary t is supported in both branches.
     """
-    if not 0.0 < R < math.inf:
-        raise DomainError(f"requires a finite R > 0, got {R}")
+    if not 0.0 < R <= _MAX_RADIUS:
+        raise DomainError(f"requires 0 < R <= {_MAX_RADIUS}, where sinh overflows; got {R}")
     tc = complex(t)
     if not cmath.isfinite(tc):
         raise DomainError(f"requires a finite t, got {t}")
@@ -127,7 +136,7 @@ def h_r_closed(R: float, t: complex) -> HrResult:
     if abs(it.real - round(it.real)) < 1e-12 and abs(it.imag) < 1e-12:
         raise ArgumentOutOfRange(f"closed form undefined at integer i*t, got t = {t}")
     if R >= 1.0:
-        pref = math.sqrt(2.0 * math.pi * math.sinh(R))
+        pref = math.sqrt(2.0 * math.pi) * math.sqrt(math.sinh(R))
         val = pref * (_hr_halfterm(R, tc) + _hr_halfterm(R, -tc))
         return HrResult(float(val.real), 1e-10 * abs(val.real) + 1e-13)
     # small radius: 2 pi R^2 * J1(Rt)/(Rt) * sqrt(sinh R / R) + error envelope
@@ -180,23 +189,22 @@ class ShcFracResult:
     asymptotic: float
 
 
-def shc_frac(s: float, t: float, order, step: float = DEFAULT_STEP) -> ShcFracResult:
+def shc_frac(s: float, t: float, order) -> ShcFracResult:
     """Fractional integral (in the radius) of the normalized kernel transform.
 
-    Samples x -> shc_direct(x, t) on [0, s] (extended by its limit 0 at x=0)
-    with the largest spacing s/n <= step, so that s is the last sample, and
-    applies the product-integration operator; the `asymptotic` field is
-    Re(r_alpha(t) e^{i t s}).
+    frac_integral_at on |t| s / 2 + 40 nodes for the |t| s / (2 pi) oscillations
+    (doubling them moves no value by over 1e-7 relative at s = 10, t <= 100); the
+    `asymptotic` field is Re(r_alpha(t) e^{i t s}).
     """
     if not 2.0 < s < math.inf:
         raise DomainError(f"requires a finite s > 2, got {s}")
-    if t == 0.0:
-        raise DomainError("requires t != 0")
+    if not (math.isfinite(t) and t != 0.0):
+        raise DomainError(f"requires a finite t != 0, got {t}")
     alpha = _as_alpha(order)
-    cells = math.ceil(s / step)
-    grid_step = s / cells
-    vals = shc_direct_grid(grid_step * np.arange(cells + 1), t)
-    series = SampledSeries(0.0, grid_step, vals)
-    integ = frac_integrate(series, alpha)
+    nodes = math.ceil(abs(t) * s / 2.0) + 40
+    panels, per_panel = _shc_panels(s, t)
+    if nodes * panels * per_panel > _SHC_FRAC_NODE_BUDGET:
+        raise DomainError(f"|t| s = {abs(t) * s:.3g} needs more than {_SHC_FRAC_NODE_BUDGET} nodes")
+    value = frac_integral_at(lambda x: shc_direct_grid(x, t), alpha, s, nodes)
     asym = (r_alpha(t, alpha) * cmath.exp(1j * t * s)).real
-    return ShcFracResult(float(integ.values[-1]), float(asym))
+    return ShcFracResult(value, float(asym))

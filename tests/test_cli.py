@@ -111,6 +111,18 @@ class TestErrorTerm:
         assert cached.read_bytes() == enumerated.read_bytes()
 
 
+    def test_cache_in_below_smax_rejected(self, capsys, tmp_path):
+        # a radius-4 cache read for --smax 6 would miss every distance in (4, 6]
+        cache, out_path = tmp_path / "cache.bin", tmp_path / "e.csv"
+        code, _, _ = run(capsys, "error-term", "--smax", "4", "--out", str(out_path),
+                         "--cache", str(cache))
+        assert code == 0
+        code, out, err = run(capsys, "error-term", "--smax", "6", "--out", str(out_path),
+                             "--cache-in", str(cache))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 class TestMoments:
     def test_from_csv(self, capsys, tmp_path):
         path = tmp_path / "series.csv"
@@ -145,6 +157,13 @@ class TestJsonCommands:
         assert code == 0
         assert payload["direct"] == pytest.approx(payload["closed_form"], rel=1e-8)
         assert set(payload) == {"direct", "closed_form", "frac", "asymptotic"}
+
+    def test_shc_large_radius(self, capsys):
+        # the closed form never forms e^{2R}, which overflows past R = 354.9
+        code, out, err = run(capsys, "shc", "--s", "355", "--t", "1")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["direct"] == pytest.approx(payload["closed_form"], rel=1e-10)
 
     def test_variance(self, capsys):
         code, out, _ = run(capsys, "variance", "--alpha", "0.5", "--T", "6",
@@ -224,13 +243,16 @@ class TestJsonCommands:
     ["error-term", "--smax", "3", "--step", "inf"],
     ["hybrid", "--Ts", "6", "--step", "inf"],
     ["shc", "--s", "3", "--t", "1e300"],
+    ["shc", "--s", "711", "--t", "1"],
+    ["shc", "--s", "100", "--t", "1000", "--alpha", "0.5"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_empty_window_rejected(capsys, tmp_path, argv):
     # a window or sample set with nothing in it, an infinite length, a step
     # that is not positive and finite or gives more samples than the cap, a
-    # NaN or huge spectral parameter, a NaN cut-off, or fewer than one
-    # histogram bin ends with exit 2 and one line, never NaN on stdout or a
-    # traceback
+    # NaN or huge spectral parameter, a radius where cosh overflows, a
+    # fractional transform over its node budget, a NaN cut-off, or fewer than
+    # one histogram bin ends with exit 2 and one line, never NaN on stdout or
+    # a traceback
     if argv[0] == "moments":
         series = tmp_path / "series.csv"
         series.write_text("s,value\n0,1\n0.5,1\n1,1\n")

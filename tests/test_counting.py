@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -163,8 +164,26 @@ class TestDistanceDump:
         path = tmp_path / "cache.bin"
         save_distances(path, DistanceMultiset(values=np.array([0.1, 0.5]), s=1.0))
         path.write_bytes(path.read_bytes() + b"\0")
-        with pytest.raises(ValidationError, match="declares 2 values"):
+        with pytest.raises(ValidationError, match="25 bytes"):
             load_distances(path, 1.0)
+
+    def test_smaller_radius_rejected(self, tmp_path):
+        # a radius-4 cache cannot answer a radius-6 query: the distances in
+        # (4, 6] were never enumerated
+        path = tmp_path / "cache.bin"
+        save_distances(path, list_distances(BallSpec(I, I, 4.0)))
+        with pytest.raises(ValidationError, match="radius 4, below 6"):
+            load_distances(path, 6.0)
+
+    @pytest.mark.parametrize("s", [4.0, 0.0])
+    def test_count_header_rejected(self, tmp_path, s):
+        # the older layout began with the u64 count, which reads as a
+        # subnormal radius: below any positive query, and below the values
+        values = list_distances(BallSpec(I, I, 4.0)).values
+        path = tmp_path / "cache.bin"
+        path.write_bytes(struct.pack("<Q", values.size) + values.astype("<f8").tobytes())
+        with pytest.raises(ValidationError):
+            load_distances(path, s)
 
     def test_sorted_invariant(self):
         with pytest.raises(ValidationError):

@@ -125,7 +125,8 @@ class TestFracExpReference:
         assert 0.95 <= v / math.e ** 20 <= 1.05
 
     def test_closed_vs_quadrature(self):
-        for (b, a, s) in [(1.0, 0.5, 2.0), (0.5, 0.25, 10.0), (2.0, 0.9, 4.0)]:
+        for (b, a, s) in [(1.0, 0.5, 2.0), (0.5, 0.25, 10.0), (2.0, 0.9, 4.0),
+                          (0.5, 0.01, 9.0), (1.0, 0.5, 20.0)]:
             c = frac_exp_reference(b, a, s)
             q = frac_exp_reference(b, a, s, method="quadrature")
             assert q == pytest.approx(c, rel=1e-10)

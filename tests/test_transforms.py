@@ -6,11 +6,13 @@ import pytest
 
 from hypcircle import constants
 from hypcircle.errors import ArgumentOutOfRange, DomainError, ValidationError
+from hypcircle.fracint import SampledSeries, frac_integral_at, frac_integrate
 from hypcircle.spectral.transforms import (
     h_r_closed,
     htilde,
     r_alpha,
     shc_direct,
+    shc_direct_grid,
     shc_frac,
 )
 
@@ -45,8 +47,9 @@ class TestShcDirect:
             assert abs(v0 - v1) <= 1e-10 * max(abs(v0), 1e-6)
 
     def test_domain(self):
+        # cosh overflows a double near s = 710.5
         for s, t in [(0.0, 1.0), (3.0, math.nan), (3.0, math.inf), (math.inf, 1.0),
-                     (3.0, 1e300), (3.0, -1e300), (1e300, 1.0)]:
+                     (3.0, 1e300), (3.0, -1e300), (1e300, 1.0), (711.0, 1.0)]:
             with pytest.raises(DomainError):
                 shc_direct(s, t)
 
@@ -54,7 +57,9 @@ class TestShcDirect:
 class TestHrClosed:
     @pytest.mark.parametrize("s,t", [(3.0, 4.0), (5.0, 0.5), (8.0, 20.0),
                                      (2.0, 43.0), (9.0, 50.0), (4.0, 1.3),
-                                     (6.0, 11.0), (10.0, 2.2)])
+                                     (6.0, 11.0), (10.0, 2.2),
+                                     # e^{2R} overflows past R = 354.9
+                                     (355.0, 1.0), (700.0, 1.0)])
     def test_matches_direct_quadrature(self, s, t):
         lhs = shc_direct(s, t)
         rhs = math.exp(-0.5 * s) * h_r_closed(s, t).value
@@ -97,7 +102,8 @@ class TestHrClosed:
             h_r_closed(2.0, 1j)
 
     def test_domain(self):
-        for R, t in [(0.0, 1.0), (3.0, math.nan), (3.0, complex(0.0, math.inf)), (math.inf, 1.0)]:
+        for R, t in [(0.0, 1.0), (3.0, math.nan), (3.0, complex(0.0, math.inf)), (math.inf, 1.0),
+                     (711.0, 1.0)]:  # sinh overflows a double near R = 710.5
             with pytest.raises(DomainError):
                 h_r_closed(R, t)
 
@@ -159,7 +165,7 @@ class TestShcFrac:
         # s = 9.3 is not a multiple of the step: the value must still be taken at s
         x, w = gauss_legendre(32)
         for s in (9.0, 9.3):
-            res = shc_frac(s, 7.0, 1.0, step=1.0 / 2048.0)
+            res = shc_frac(s, 7.0, 1.0)
             edges = np.linspace(0.0, s, 33)
             ref = 0.0
             for lo, hi in zip(edges[:-1], edges[1:]):
@@ -185,12 +191,37 @@ class TestShcFrac:
         # |shc_frac| <= C s^{alpha+1} across radii
         alpha = 0.3
         for s in (3.0, 6.0, 10.0, 14.0):
-            res = shc_frac(s, 2.0, alpha, step=1.0 / 128.0)
+            res = shc_frac(s, 2.0, alpha)
             assert abs(res.value) <= 2.0 * s ** (alpha + 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.75])
+    def test_against_product_rule(self, alpha):
+        # independent reference: the product rule on 8192 samples per unit
+        # radius, O(step^2) away from the integral
+        s, t = 6.0, 20.0
+        cells = int(s * 8192)
+        radii = s * np.arange(cells + 1) / cells
+        vals = np.concatenate([shc_direct_grid(chunk, t) for chunk in np.array_split(radii, 16)])
+        ref = frac_integrate(SampledSeries(0.0, s / cells, vals), alpha).values[-1]
+        assert shc_frac(s, t, alpha).value == pytest.approx(ref, rel=3e-5)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+    def test_node_doubling(self, alpha):
+        # twice the nodes shc_frac uses moves no value by more than 1e-7 relative
+        s = 10.0
+        for t in np.geomspace(5.0, 100.0, 9):
+            t = float(t)
+            value = shc_frac(s, t, alpha).value
+            nodes = 2 * (math.ceil(t * s / 2.0) + 40)
+            doubled = frac_integral_at(lambda x: shc_direct_grid(x, t), alpha, s, nodes)
+            assert value == pytest.approx(doubled, rel=1e-7), t
 
     def test_domain(self):
         with pytest.raises(DomainError):
             shc_frac(1.0, 5.0, 0.5)
-        for s, t in [(5.0, 0.0), (5.0, math.nan), (5.0, -math.inf), (math.inf, 1.0)]:
+        # at s = 100, t = 1000, 50,040 nodes times the transform's 127,328
+        # would need 47 GiB per array
+        for s, t in [(5.0, 0.0), (5.0, math.nan), (5.0, -math.inf), (math.inf, 1.0),
+                     (100.0, 1000.0)]:
             with pytest.raises(DomainError):
                 shc_frac(s, t, 0.5)
