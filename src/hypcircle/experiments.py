@@ -26,7 +26,7 @@ from .fracint import (
     frac_integrate,
 )
 from .geometry import Point
-from .spectral.terms import _VOL_COEFF, f_alpha_sum, main_term, spectral_variance
+from .spectral.terms import _VOL_COEFF, _model_terms, main_term, spectral_variance
 from .specfun import lower_incomplete_exp
 
 __all__ = [
@@ -235,19 +235,31 @@ def method_budget(alpha: float, step: float = DEFAULT_STEP) -> float:
 # windowed moments
 # ---------------------------------------------------------------------------
 
+def _samples_below(series: SampledSeries, x: float) -> int:
+    """np.searchsorted(series.grid, x) without forming the whole grid.
+
+    The quotient (x - start) / step is off the count by at most one sample,
+    so four grid points around it settle the count.
+    """
+    n = series.values.size
+    k = min(max(math.ceil((x - series.start) / series.step) - 2, 0), n)
+    near = series.start + series.step * np.arange(k, min(k + 4, n))
+    return k + int(np.searchsorted(near, x))
+
+
 def _window_slice(series: SampledSeries, T: float, window: str):
     if not T > 0.0:
         raise ValidationError(f"window length T must be positive, got {T}")
     lo, hi = (T, 2.0 * T) if window == "T2T" else (0.0, T)
     if window not in ("T2T", "0T"):
         raise ValidationError(f"unknown window {window!r}")
-    grid = series.grid
-    if lo < grid[0] - 1e-9 or hi > grid[-1] + 1e-9:
+    first, last = series.start, series.start + series.step * (series.values.size - 1)
+    if lo < first - 1e-9 or hi > last + 1e-9:
         raise WindowOutOfRange(
-            f"window [{lo}, {hi}] not covered by series [{grid[0]}, {grid[-1]}]")
-    i0 = int(np.searchsorted(grid, lo - 1e-12))
-    i1 = int(np.searchsorted(grid, hi + 1e-12))
-    return grid[i0:i1], i0, i1
+            f"window [{lo}, {hi}] not covered by series [{first}, {last}]")
+    i0 = _samples_below(series, lo - 1e-12)
+    i1 = _samples_below(series, hi + 1e-12)
+    return series.start + series.step * np.arange(i0, i1), i0, i1
 
 
 def first_moment(err: ErrorSeries, T: float, window: str = "T2T") -> float:
@@ -344,31 +356,54 @@ def pointwise_scan(err: ErrorSeries) -> PointwiseScan:
 # limiting distribution
 # ---------------------------------------------------------------------------
 
-# Default sample step of the synthetic series, and samples per f_alpha_sum call.
+# Default sample step of the synthetic series; samples per block of the
+# phasor product, and blocks per chunk (at most 2 M samples of work at a time).
 SYNTHETIC_STEP = 1.0 / 256.0
-_SYNTHETIC_CHUNK = 2_000_000
+_SYNTHETIC_BLOCK = 2048
+_SYNTHETIC_CHUNK_BLOCKS = 2_000_000 // _SYNTHETIC_BLOCK
 
 
 def synthetic_series(amplitudes, order, L: float, step: float = SYNTHETIC_STEP) -> ErrorSeries:
-    """The almost-periodic model sampled as a series on [0, L]."""
+    """The almost-periodic model f_alpha_sum sampled as a series on [0, L].
+
+    Sample b B + k (block b of B samples, offset k) is
+    sum_j Re(S[b, j] P[j, k]) with S[b, j] = c_j e^{i t_j s_b} at the block
+    start s_b = b B step and P[j, k] = e^{i t_j k step}, built once. A chunk
+    of blocks is then one real matrix product [Re S, Im S] @ [Re P; -Im P]
+    in place of a cos and a sin per sample and term. Every block start takes
+    its phase from its own s_b, never from the previous block, so rounding
+    does not build up: the error is the rounding of the phase t_j s, as in
+    f_alpha_sum.
+    """
     if not 0.0 < L < math.inf:
         raise ValidationError(f"series length L must be positive and finite, got {L}")
     n = _grid_size(L, step)
-    out = np.empty(n)
     alpha = _as_alpha(order)
-    for lo in range(0, n, _SYNTHETIC_CHUNK):
-        hi = min(lo + _SYNTHETIC_CHUNK, n)
-        out[lo:hi] = f_alpha_sum(amplitudes, alpha, step * np.arange(lo, hi))
-    return ErrorSeries(series=SampledSeries(0.0, step, out), alpha=alpha)
+    t, c = _model_terms(amplitudes, alpha)
+    phasors = np.exp(1j * np.outer(t, step * np.arange(_SYNTHETIC_BLOCK)))
+    rhs = np.concatenate([phasors.real, -phasors.imag])
+    blocks = -(-n // _SYNTHETIC_BLOCK)
+    out = np.empty((blocks, _SYNTHETIC_BLOCK))
+    for lo in range(0, blocks, _SYNTHETIC_CHUNK_BLOCKS):
+        hi = min(lo + _SYNTHETIC_CHUNK_BLOCKS, blocks)
+        starts = c * np.exp(1j * np.outer(step * (_SYNTHETIC_BLOCK * np.arange(lo, hi)), t))
+        np.matmul(np.concatenate([starts.real, starts.imag], axis=1), rhs, out=out[lo:hi])
+    return ErrorSeries(series=SampledSeries(0.0, step, out.ravel()[:n]), alpha=alpha)
 
 
 def _ks_two_sample_sorted(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov distance of pre-sorted samples."""
-    allv = np.concatenate([a, b])
-    allv.sort(kind="mergesort")
-    ca = np.searchsorted(a, allv, side="right") / a.size
-    cb = np.searchsorted(b, allv, side="right") / b.size
-    return float(np.max(np.abs(ca - cb)))
+    """Two-sample Kolmogorov-Smirnov distance of pre-sorted samples.
+
+    The gap between the two empirical CDFs is largest at a sample value. At
+    the last of each run of equal values in one sample its own count is the
+    position + 1, and one search of the other sample gives the other count.
+    """
+    gap = 0.0
+    for x, y in ((a, b), (b, a)):
+        ends = np.flatnonzero(np.append(x[1:] != x[:-1], True))
+        cy = np.searchsorted(y, x[ends], side="right")
+        gap = max(gap, float(np.max(np.abs((ends + 1) / x.size - cy / y.size))))
+    return gap
 
 
 def distribution_estimate(err: ErrorSeries, bins="fd") -> DistributionEstimate:

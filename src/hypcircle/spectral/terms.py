@@ -105,12 +105,20 @@ def f_alpha_sum(amplitudes, order, s):
     Terms with b_j = 0 (odd forms on the imaginary axis) add exactly zero
     and are skipped.
     """
-    alpha = _as_alpha(order)
-    amps = [a for a in amplitudes if a.t > 0.0 and a.b != 0.0]
     s_arr = np.asarray(s, dtype=float)
     out = np.zeros(s_arr.shape)
-    for a in amps:
-        r = r_alpha(a.t, alpha) * a.b
-        out = out + r.real * np.cos(a.t * s_arr) - r.imag * np.sin(a.t * s_arr)
+    for t, c in zip(*_model_terms(amplitudes, _as_alpha(order))):
+        out = out + c.real * np.cos(t * s_arr) - c.imag * np.sin(t * s_arr)
     return float(out) if s_arr.ndim == 0 else out
 
+
+def _model_terms(amplitudes, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies t_j and coefficients c_j = r_alpha(t_j) b_j of the model's terms.
+
+    Only t_j > 0 and b_j != 0 are kept: a zero amplitude (an odd form on the
+    imaginary axis) adds exactly zero.
+    """
+    amps = [a for a in amplitudes if a.t > 0.0 and a.b != 0.0]
+    t = np.array([a.t for a in amps], dtype=float)
+    c = np.array([r_alpha(a.t, alpha) * a.b for a in amps], dtype=complex)
+    return t, c

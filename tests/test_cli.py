@@ -165,6 +165,23 @@ class TestJsonCommands:
         payload = json.loads(out)
         assert payload["direct"] == pytest.approx(payload["closed_form"], rel=1e-10)
 
+    def test_shc_large_t(self, capsys):
+        # Gamma(it) underflows past t = 450; the closed form takes their ratio
+        code, out, err = run(capsys, "shc", "--s", "3", "--t", "500", "--alpha", "0.5")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["direct"] == pytest.approx(payload["closed_form"], rel=1e-8)
+        assert all(math.isfinite(v) for v in payload.values())
+
+    def test_shc_over_node_budget_one_line(self):
+        # in a subprocess, so that numpy's RuntimeWarnings reach stderr
+        proc = subprocess.run([sys.executable, "-m", "hypcircle.cli", "shc", "--s", "100",
+                               "--t", "1000", "--alpha", "0.5"],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+
     def test_variance(self, capsys):
         code, out, _ = run(capsys, "variance", "--alpha", "0.5", "--T", "6",
                            "--tmax", "40")

@@ -1,8 +1,10 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+import scipy.stats
 
 from hypcircle import constants, experiments
 from hypcircle.counting import BallSpec, list_distances
@@ -31,7 +33,7 @@ from hypcircle.fracint import (
     frac_indicator_exp,
 )
 from hypcircle.geometry import Point
-from hypcircle.spectral import Amplitude
+from hypcircle.spectral import Amplitude, amplitude, f_alpha_sum
 from hypcircle.spectral.transforms import r_alpha
 
 I = Point(0.0, 1.0)
@@ -227,6 +229,18 @@ class TestMoments:
         s = cosine_series(1.0, 3.0, T=50.0)
         assert abs(first_moment(s, 40.0, window="0T")) <= 0.02
 
+    def test_window_edges_match_grid_search(self):
+        # the window's first and last samples are those a search of the whole
+        # grid finds, at grid points and a hair to either side of them
+        rng = np.random.default_rng(5)
+        for start, step, n in ((0.0, 1.0 / 256.0, 5000), (-2.5, 0.1, 777), (1.0, 1.0 / 3.0, 31)):
+            series = SampledSeries(start, step, np.zeros(n))
+            grid = series.grid
+            xs = np.concatenate([grid[rng.integers(0, n, 50)] + d for d in (-1e-12, 0.0, 1e-12)]
+                                + [rng.uniform(start - 1.0, grid[-1] + 1.0, 50)])
+            for x in xs:
+                assert experiments._samples_below(series, x) == np.searchsorted(grid, x)
+
 
 class TestSyntheticClosedLoop:
     def test_single_frequency_variance(self):
@@ -254,6 +268,73 @@ class TestSyntheticClosedLoop:
         err = sample_e_alpha(I, I, 0.25, 14.0, distances=distances_14)
         rep = variance_report(err, amplitudes_ii, 0.25, 12.0, window="0T")
         assert math.isfinite(rep.ratio) and rep.ratio > 0.0
+
+
+def _model_reference(amps, alpha, s):
+    """The model at the sample points s by mpmath at 40 digits, from the same
+    double t_j and c_j = r_alpha(t_j) b_j that the series uses."""
+    terms = [(a.t, r_alpha(a.t, alpha) * a.b) for a in amps if a.b != 0.0]
+    with mp.workdps(40):
+        return np.array([float(sum(mp.mpf(c.real) * mp.cos(mp.mpf(t) * mp.mpf(sv))
+                                   - mp.mpf(c.imag) * mp.sin(mp.mpf(t) * mp.mpf(sv))
+                                   for t, c in terms)) for sv in s])
+
+
+@pytest.fixture(scope="module")
+def model_cases(dataset_session):
+    return {
+        "one-form": [Amplitude(10.0, 1.5)],
+        # 24 forms, the odd ones with b = 0
+        "axis": amplitude(dataset_session, I, I),
+        "off-axis": amplitude(dataset_session, Point(0.2, 1.14), Point(-0.3, 1.1)),
+    }
+
+
+class TestSyntheticBlocks:
+    B = experiments._SYNTHETIC_BLOCK
+    CHUNK = experiments._SYNTHETIC_CHUNK_BLOCKS * experiments._SYNTHETIC_BLOCK
+
+    @staticmethod
+    def _bound(amps, alpha, s_max):
+        # both forms round the phase t_j s; a few ulp of it on each term
+        eps = np.finfo(float).eps
+        return 32.0 * eps * sum(abs(r_alpha(a.t, alpha) * a.b) * (1.0 + a.t * s_max)
+                                for a in amps)
+
+    @pytest.mark.parametrize("case", ["one-form", "axis", "off-axis"])
+    @pytest.mark.parametrize("L,step", [
+        (100.0, 1.0 / 64.0),    # 6,401 samples: three blocks and a partial one
+        (10.0, 1.0 / 64.0),     # 641 samples: one partial block
+        (8000.0, 1.0 / 256.0),  # 2,048,001 samples: two chunks
+    ])
+    def test_matches_scalar_form(self, model_cases, case, L, step):
+        amps = model_cases[case]
+        ser = synthetic_series(amps, 0.25, L, step=step)
+        n = int(round(L / step)) + 1
+        assert ser.values.size == n and n % self.B != 0
+        rng = np.random.default_rng(3)
+        idx = np.array([0, self.B - 1, self.B, self.B + 1, self.CHUNK - 1, self.CHUNK,
+                        self.CHUNK + 1, n - 1] + list(rng.integers(0, n, 40)))
+        idx = np.unique(idx[idx < n])
+        ref = f_alpha_sum(amps, 0.25, step * idx)
+        assert np.max(np.abs(ser.values[idx] - ref)) <= self._bound(amps, 0.25, L)
+
+    def test_no_terms(self):
+        for amps in ([], [Amplitude(10.0, 0.0), Amplitude(12.0, 0.0)]):
+            ser = synthetic_series(amps, 0.5, 40.0, step=1.0 / 64.0)
+            assert ser.values.size == 2561 and not np.any(ser.values)
+
+    @pytest.mark.parametrize("case", ["axis", "off-axis"])
+    def test_large_phase_against_mpmath(self, model_cases, case):
+        # t_j s reaches 5e6 at s = 2e5; the error is the rounding of that phase
+        amps = model_cases[case]
+        step = 0.25
+        ser = synthetic_series(amps, 0.25, 2.0e5, step=step)
+        n = ser.values.size
+        blocks = np.arange(n // self.B - 30, n // self.B) * self.B
+        idx = np.concatenate([blocks - 1, blocks, [n - 1]])
+        ref = _model_reference(amps, 0.25, step * idx)
+        assert np.max(np.abs(ser.values[idx] - ref)) <= 1e-9
 
 
 class TestPointwiseScan:
@@ -300,6 +381,20 @@ class TestDistribution:
         est = distribution_estimate(ser)
         assert est.ks_halves <= 0.02
         assert abs(est.mean) <= 2.0 * math.sqrt(est.variance / est.count) + 1e-6
+
+    def test_ks_matches_scipy(self):
+        # ties within and across the halves, halves of unequal size, and the
+        # estimate's own split of an odd-length series
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            a = np.sort(rng.integers(0, rng.integers(1, 12), rng.integers(1, 150)).astype(float))
+            b = np.sort(rng.integers(0, rng.integers(1, 12), rng.integers(1, 150)).astype(float))
+            ref = scipy.stats.ks_2samp(a, b).statistic
+            assert experiments._ks_two_sample_sorted(a, b) == pytest.approx(ref, abs=1e-15)
+        vals = rng.integers(-5, 6, 2001).astype(float)
+        est = distribution_estimate(ErrorSeries(SampledSeries(0.0, 0.5, vals), alpha=None))
+        ref = scipy.stats.ks_2samp(vals[:1000], vals[1000:]).statistic
+        assert est.ks_halves == pytest.approx(ref, abs=1e-15)
 
     def test_real_data_within_pointwise_bound(self, distances_14):
         err = sample_e_alpha(I, I, 0.75, 14.0, distances=distances_14)

@@ -29,6 +29,7 @@ DEMO_OUTPUT = {
     "demo_fractional.py": "exact",
     "demo_counting.py": "exact",
     "demo_spectral.py": "|r(t)| at order 0.25 decays",
+    "demo_variance.py": "radii near 14 are far from it",
 }
 
 

@@ -59,7 +59,9 @@ class TestHrClosed:
                                      (2.0, 43.0), (9.0, 50.0), (4.0, 1.3),
                                      (6.0, 11.0), (10.0, 2.2),
                                      # e^{2R} overflows past R = 354.9
-                                     (355.0, 1.0), (700.0, 1.0)])
+                                     (355.0, 1.0), (700.0, 1.0),
+                                     # Gamma(it) underflows past t = 450
+                                     (3.0, 460.0), (3.0, 500.0), (3.0, 1000.0)])
     def test_matches_direct_quadrature(self, s, t):
         lhs = shc_direct(s, t)
         rhs = math.exp(-0.5 * s) * h_r_closed(s, t).value
@@ -146,6 +148,14 @@ class TestRAlpha:
         r = r_alpha(t, 1e-6)
         ref = complex(2.0 * mp.sqrt(mp.pi) * mp.gamma(1j * t) / mp.gamma(1.5 + 1j * t))
         assert abs(r - ref) <= 1e-5 * abs(ref)
+
+    @pytest.mark.parametrize("t", [460.0, 1000.0, 5000.0])
+    def test_large_t(self, t):
+        # Gamma(it) underflows and Gamma(3/2+it) with it; their ratio does not
+        with mp.workdps(30):
+            ref = complex(2.0 * mp.sqrt(mp.pi) * mp.gamma(1j * t)
+                          / (mp.mpc(0, t) ** 0.25 * mp.gamma(1.5 + 1j * t)))
+        assert abs(r_alpha(t, 0.25) - ref) <= 1e-10 * abs(ref)
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
