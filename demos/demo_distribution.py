@@ -40,3 +40,5 @@ peak = est.counts.max()
 for lo, hi, c in zip(est.edges[:-1], est.edges[1:], est.counts):
     bar = "#" * int(50 * c / peak)
     print(f"  [{lo:+.3f}, {hi:+.3f})  {bar}")
+top = int(np.argmax(est.counts))
+print(f"\nthe histogram peaks in [{est.edges[top]:+.3f}, {est.edges[top + 1]:+.3f})")

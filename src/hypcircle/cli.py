@@ -2,7 +2,8 @@
 
 Subcommands mirror the library operations; output is CSV (17 significant
 digits) or flat JSON.  Exit codes: 0 ok, 2 validation error, 3 numerical
-non-convergence.
+non-convergence, 4 any other failure (out of memory, an internal error).
+Every failure prints one `error:` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -294,6 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _fail(message: str, code: int) -> int:
+    print("error: " + " ".join(message.split()), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -301,11 +307,11 @@ def main(argv=None) -> int:
         args.func(args)
         return 0
     except NonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(str(exc), 3)
     except (ValidationError, HypCircleError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(str(exc), 2)
+    except Exception as exc:  # a MemoryError or a bug: one line, no traceback
+        return _fail(f"{type(exc).__name__}: {exc}", 4)
 
 
 if __name__ == "__main__":

@@ -146,6 +146,8 @@ def _enumerate_rows(spec: BallSpec):
     d_hi = np.floor(-cs * w.x + half).astype(np.int64)
     n_per_c = np.maximum(d_hi - d_lo + 1, 0)
     total = int(n_per_c.sum())
+    if total > DEFAULT_POINT_CAP:
+        raise MemoryBudgetExceeded(f"{total} candidate rows exceed cap {DEFAULT_POINT_CAP}")
     c_all = np.repeat(cs, n_per_c)
     starts = np.repeat(np.cumsum(n_per_c) - n_per_c, n_per_c)
     d_all = (np.arange(total, dtype=np.int64) - starts

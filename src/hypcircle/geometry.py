@@ -13,11 +13,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-# Below this point-pair invariant the acosh form loses all significant
-# digits, so we switch to the leading term acosh(1 + 2u) ~ 2 sqrt(u).
-_U_TINY = 1e-14
-
-
 @dataclass(frozen=True)
 class Point:
     """A point x + iy of the hyperbolic upper half-plane, y > 0."""
@@ -49,9 +44,9 @@ def distance(z: Point, w: Point) -> float:
 
 
 def distance_from_u(u: np.ndarray) -> np.ndarray:
-    """Distances acosh(2u + 1) for an array of point-pair invariants u >= 0."""
-    dist = np.arccosh(2.0 * u + 1.0)
-    tiny = u < _U_TINY
-    if np.any(tiny):
-        dist[tiny] = 2.0 * np.sqrt(u[tiny])
-    return dist
+    """Distances acosh(2u + 1) = 2 asinh(sqrt u) for point-pair invariants u >= 0.
+
+    The asinh form keeps full relative precision as u -> 0, where forming
+    2u + 1 rounds away u's digits (1.6e-3 relative error at u = 1e-14).
+    """
+    return 2.0 * np.arcsinh(np.sqrt(u))

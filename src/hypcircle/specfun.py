@@ -1,6 +1,6 @@
 """Special functions the spectral side depends on.
 
-K-Bessel with imaginary order, Gauss 2F1 on the negative real axis, and the
+K-Bessel with imaginary order, the Gauss 2F1 series on (-1, 1), and the
 exponential-kernel incomplete integral, all in double precision.  The
 K-Bessel is one trapezoid rule on its integral representation along a line
 shifted towards the saddle (Gil, Segura and Temme, ACM TOMS 30, 2004).
@@ -78,41 +78,32 @@ def bessel_k_imag_scaled(t: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gauss hypergeometric 2F1 for arguments on (-1, 0]
+# Gauss hypergeometric 2F1 for arguments in (-1, 1)
 # ---------------------------------------------------------------------------
 
-def _hyp2f1_series(a: complex, b: complex, c: complex, x: float) -> complex:
-    term = complex(1.0)
-    acc = complex(1.0)
-    for k in range(800):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * x
-        acc += term
-        if abs(term) <= 1e-16 * max(abs(acc), 1e-30):
-            return acc
-    raise NonConvergence(f"2F1 series did not converge at x = {x}")
-
-
 def gauss_2f1(a: complex, b: complex, c: complex, x: float) -> complex:
-    """2F1(a, b; c; x) for real x in (-1, 0].
+    """2F1(a, b; c; x) for real x in (-1, 1) by its power series.
 
-    Plain series near 0; Pfaff transformation w = x/(x-1) in (0, 1/2) for the
-    rest of the interval.  Raises ArgumentOutOfRange for x <= -1 — callers
-    must switch to a small-radius expansion there.
+    The terms fall like |x|^k times a power of k, so the sum stops once a
+    term is below 1e-16 of it; 40/(-ln|x|) + 50 terms (|x|^k down to e^-40)
+    is the cap, past which NonConvergence is raised.
     """
-    if x > 0.0:
-        raise ArgumentOutOfRange(f"2F1 path requires x <= 0, got {x}")
-    if x <= -1.0:
-        raise ArgumentOutOfRange(f"2F1 series/Pfaff path requires x > -1, got {x}")
+    if not -1.0 < x < 1.0:
+        raise ArgumentOutOfRange(f"2F1 series requires -1 < x < 1, got {x}")
     a, b, c = complex(a), complex(b), complex(c)
     cr = round(c.real)
     if cr <= 0 and abs(c - cr) <= 1e-12:
         raise PoleProximity(f"2F1 parameter c = {c} at a nonpositive integer")
     if x == 0.0:
         return complex(1.0)
-    if x > -0.3:
-        return _hyp2f1_series(a, b, c, x)
-    w = x / (x - 1.0)
-    return (1.0 - x) ** (-a) * _hyp2f1_series(a, c - b, c, w)
+    term = complex(1.0)
+    acc = complex(1.0)
+    for k in range(int(40.0 / -math.log(abs(x))) + 50):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * x
+        acc += term
+        if abs(term) <= 1e-16 * max(abs(acc), 1e-30):
+            return acc
+    raise NonConvergence(f"2F1 series did not converge at x = {x}")
 
 
 # ---------------------------------------------------------------------------

@@ -47,17 +47,6 @@ class VarianceSum:
     terms: int
 
 
-def _variance_weight(t: float, alpha: float) -> float:
-    """2 pi |Gamma(it)|^2 / (t^{2 alpha} |Gamma(3/2+it)|^2), evaluated stably.
-
-    |Gamma(it)|^2 = pi/(t sinh(pi t)) and Gamma(3/2+it) = (1/2+it) Gamma(1/2+it)
-    with |Gamma(1/2+it)|^2 = pi/cosh(pi t), so the ratio is
-    cosh(pi t)/(t sinh(pi t) (1/4+t^2)) -- no huge intermediates.
-    """
-    ratio = 1.0 / (math.tanh(math.pi * t) * t * (0.25 + t * t))
-    return 2.0 * math.pi * ratio / t ** (2.0 * alpha)
-
-
 def weyl_b_constant(amplitudes: list[Amplitude]) -> float:
     """Quadratic-growth constant of cumulative |b_j|^2, estimated at the
     largest available spectral parameter: sum_{t_j <= t_top} |b_j|^2 / t_top^2.
@@ -72,7 +61,8 @@ def weyl_b_constant(amplitudes: list[Amplitude]) -> float:
 
 
 def spectral_variance(amplitudes, order, t_max: float) -> VarianceSum:
-    """Partial sum of 2 pi |Gamma(it_j)|^2 |b_j|^2 / |t_j^a Gamma(3/2+it_j)|^2.
+    """Partial sum of 1/2 |r_alpha(t_j)|^2 |b_j|^2, that is
+    2 pi |Gamma(it_j)|^2 |b_j|^2 / |t_j^a Gamma(3/2+it_j)|^2.
 
     tail_bound is the remainder estimate obtained by continuing the measured
     quadratic growth of cumulative |b_j|^2 as a density 2 C_b u du against
@@ -87,7 +77,7 @@ def spectral_variance(amplitudes, order, t_max: float) -> VarianceSum:
     alpha = _as_alpha(order)
     amps = list(amplitudes)
     inside = [a for a in amps if 0.0 < a.t <= t_max]
-    value = sum(_variance_weight(a.t, alpha) * abs(a.b) ** 2 for a in inside)
+    value = sum(0.5 * abs(r_alpha(a.t, alpha)) ** 2 * abs(a.b) ** 2 for a in inside)
     if not amps:
         return VarianceSum(value=0.0, tail_bound=math.inf, terms=0)
     c_b = weyl_b_constant(amps)

@@ -52,6 +52,15 @@ class TestCount:
         code, _, err = run(capsys, "count", "--s", "200")
         assert code == 2
 
+    def test_too_many_candidate_rows_one_line(self):
+        # s = 29 is under the radius ceiling, but its 6.2e12 candidate rows
+        # would need 45 TiB; in a subprocess, so that nothing else reaches stderr
+        proc = subprocess.run([sys.executable, "-m", "hypcircle.cli", "count", "--s", "29"],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+
 
 class TestErrorTerm:
     def test_csv_format(self, capsys, tmp_path):
@@ -261,6 +270,7 @@ class TestJsonCommands:
     ["hybrid", "--Ts", "6", "--step", "inf"],
     ["shc", "--s", "3", "--t", "1e300"],
     ["shc", "--s", "711", "--t", "1"],
+    ["shc", "--s", "0.005", "--t", "3"],
     ["shc", "--s", "100", "--t", "1000", "--alpha", "0.5"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_empty_window_rejected(capsys, tmp_path, argv):
@@ -305,6 +315,19 @@ def test_non_finite_spectral_file_rejected(capsys, tmp_path, command, bad):
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert "forms.txt:2:" in err
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad\nvalue"), MemoryError()],
+                         ids=["ValueError", "MemoryError"])
+def test_unexpected_failure_one_line(capsys, monkeypatch, exc):
+    # any failure outside the package's own errors exits 4 with one line
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr("hypcircle.cli.cmd_count", fail)
+    code, out, err = run(capsys, "count", "--s", "1")
+    assert code == 4 and out == ""
+    assert err.startswith(f"error: {type(exc).__name__}") and len(err.strip().splitlines()) == 1
 
 
 def test_emit_rejects_non_finite(capsys):

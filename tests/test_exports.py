@@ -30,6 +30,7 @@ DEMO_OUTPUT = {
     "demo_counting.py": "exact",
     "demo_spectral.py": "|r(t)| at order 0.25 decays",
     "demo_variance.py": "radii near 14 are far from it",
+    "demo_distribution.py": "the histogram peaks in",
 }
 
 

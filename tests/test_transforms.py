@@ -61,7 +61,9 @@ class TestHrClosed:
                                      # e^{2R} overflows past R = 354.9
                                      (355.0, 1.0), (700.0, 1.0),
                                      # Gamma(it) underflows past t = 450
-                                     (3.0, 460.0), (3.0, 500.0), (3.0, 1000.0)])
+                                     (3.0, 460.0), (3.0, 500.0), (3.0, 1000.0),
+                                     # the same series below R = 1
+                                     (0.01, 3.0), (0.05, 40.0), (0.3, 12.0), (0.9, 3.0)])
     def test_matches_direct_quadrature(self, s, t):
         lhs = shc_direct(s, t)
         rhs = math.exp(-0.5 * s) * h_r_closed(s, t).value
@@ -72,6 +74,19 @@ class TestHrClosed:
             res = h_r_closed(R, t)
             exact = math.exp(0.5 * R) * shc_direct(R, t)
             assert abs(res.value - exact) <= constants.HR_SMALL_R_ENVELOPE_C * res.error_bound
+
+    @pytest.mark.parametrize("R", [0.01, 0.1, 0.5])
+    def test_small_radius_against_mpmath(self, R):
+        # 40-digit quadrature of 2^{3/2} int_{-R}^{R} (cosh R - cosh r)^{1/2} e^{irt} dr
+        # on panels of two oscillations; measured worst 6.5e-11 at R = 0.01
+        for t in (0.7, 17.0, 1000.0, 0.3j, 2.5j):
+            wave = mp.cos if isinstance(t, float) else mp.cosh
+            freq = abs(t)
+            n = max(4, int(freq * R / (4.0 * math.pi)) + 1)
+            with mp.workdps(40):
+                f = lambda r: mp.sqrt(mp.cosh(R) - mp.cosh(r)) * wave(freq * r)
+                ref = float(2 ** 1.5 * 2 * mp.quad(f, mp.linspace(0, R, n + 1)))
+            assert h_r_closed(R, t).value == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_small_radius_high_frequency_decay(self):
         # |h_R(t)| <= c R^2 / (R t)^{3/2} deep in the oscillatory regime;
@@ -104,8 +119,10 @@ class TestHrClosed:
             h_r_closed(2.0, 1j)
 
     def test_domain(self):
-        for R, t in [(0.0, 1.0), (3.0, math.nan), (3.0, complex(0.0, math.inf)), (math.inf, 1.0),
-                     (711.0, 1.0)]:  # sinh overflows a double near R = 710.5
+        # sinh overflows a double near R = 710.5; below R = 0.01 the series
+        # needs over 2,000 terms and loses digits to cancellation
+        for R, t in [(0.0, 1.0), (0.005, 3.0), (3.0, math.nan), (3.0, complex(0.0, math.inf)),
+                     (math.inf, 1.0), (711.0, 1.0)]:
             with pytest.raises(DomainError):
                 h_r_closed(R, t)
 
