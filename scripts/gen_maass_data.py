@@ -28,14 +28,13 @@ from scipy.optimize import brentq
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from hypcircle.geometry import Point
+from hypcircle.geometry import Point, pullback
 from hypcircle.spectral.data import (
     SpectralDatum,
     SpectralDataset,
     bessel_decay_cutoff,
     dump_spectral_data,
     normalize_l2,
-    pullback,
     _bessel_row_scaled,
     _hecke_row_scaled,
     _required_terms,

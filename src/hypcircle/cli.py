@@ -51,10 +51,6 @@ from .spectral import (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _point(text: str) -> Point:
     try:
         xs, ys = text.split(",")
@@ -71,10 +67,8 @@ def _floats(text: str) -> list[float]:
 
 
 def _write_csv(path, grid, values):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("s,value\n")
-        for s, v in zip(grid, values):
-            fh.write(f"{_fmt(s)},{_fmt(v)}\n")
+    np.savetxt(path, np.column_stack([grid, values]), fmt="%.17g", delimiter=",",
+               header="s,value", comments="")
 
 
 def _read_csv(path) -> SampledSeries:

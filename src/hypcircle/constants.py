@@ -18,14 +18,16 @@ AMPLITUDE_OVER_T_C = 2.0
 # --- kernel transforms ------------------------------------------------------
 
 # |shc_frac - asymptotic| * |t|^{1+a} (1+sqrt|t|) over 97 geometric t in
-# [5,100], s = 10: measured max 0.0576 (a=0.25), 0.3127 (a=0.5) with the
-# Gauss-Jacobi rule; 0.0576, 0.3128 with the former product rule at step 1/512.
+# [5,100], s = 10: measured max 0.057558 (a=0.25), 0.312738 (a=0.5) with the
+# composite Gauss-Jacobi rule, the same six digits as the former global
+# Gauss-Jacobi rule; 0.0576, 0.3128 with the product rule at step 1/512.
 SHC_FRAC_TAIL_C = 1.0
 
 # shc_frac(s,t,a) * |t|^{3/2+a} over the same t at s = 10: measured max
-# 3.5507 (a=0.25), 3.7092 (a=0.5) with the Gauss-Jacobi rule; 3.5503, 3.7091
-# with the product rule at step 1/512 (recorded earlier as 3.51, 3.63 on an
-# unstated t set); the main term alone contributes 2 sqrt(pi) ~ 3.54.
+# 3.550737 (a=0.25), 3.709152 (a=0.5) with the composite Gauss-Jacobi rule,
+# the same six digits as the global rule; 3.5503, 3.7091 with the product
+# rule at step 1/512 (recorded earlier as 3.51, 3.63 on an unstated t set);
+# the main term alone contributes 2 sqrt(pi) ~ 3.54.
 SHC_FRAC_DECAY_C = 8.0
 
 # |htilde(delta, 0) - 1| / delta^2: measured 0.03125 (= 1/32).

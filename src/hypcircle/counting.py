@@ -4,7 +4,9 @@ count_ball enumerates {gamma in PSL(2,Z) : d(z, gamma w) <= s} in
 O(N + #rows): candidate bottom rows (c,d) are cut by an exact height bound,
 one Bezout lift per row fixes a base orbit point, and the remaining elements
 with that row differ by integer horizontal translations, so each row
-contributes an integer interval of translation indices.
+contributes an integer interval of translation indices.  The rows number about
+pi e^s / Im z, so the centre z is first reduced to the fundamental domain:
+d(z, gamma w) = d(gamma^-1 z, w) leaves the distances unchanged.
 
 brute_force_count is an independent validation oracle that scans every
 integer matrix inside an entry bound.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .errors import (
     RadiusTooLarge,
     ValidationError,
 )
-from .geometry import Point, distance_from_u
+from .geometry import Point, distance_from_u, pullback
 
 __all__ = [
     "BallSpec",
@@ -186,6 +188,7 @@ def _orbit_rows(spec: BallSpec):
 
 def count_ball(spec: BallSpec, with_diagnostics: bool = False):
     """Exact number of gamma in PSL(2,Z) with d(z, gamma w) <= s."""
+    spec = replace(spec, z=pullback(spec.z))
     x0, y0 = _orbit_rows(spec)
     _, _, counts = _k_intervals(spec, x0, y0, _BOUNDARY_GUARD)
     total = int(counts.sum())
@@ -200,6 +203,7 @@ def count_ball(spec: BallSpec, with_diagnostics: bool = False):
 
 def list_distances(spec: BallSpec) -> DistanceMultiset:
     """All orbit distances d(z, gamma w) <= s, sorted ascending with multiplicity."""
+    spec = replace(spec, z=pullback(spec.z))
     x0, y0 = _orbit_rows(spec)
     k_lo, k_hi, counts = _k_intervals(spec, x0, y0, _BOUNDARY_GUARD)
     total = int(counts.sum())

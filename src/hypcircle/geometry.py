@@ -1,4 +1,5 @@
-"""Upper half-plane geometry: points, the point-pair invariant and distances.
+"""Upper half-plane geometry: points, the point-pair invariant, distances and
+reduction to the fundamental domain.
 
 Points are stored as coordinate pairs so the y > 0 invariant is enforced at
 construction; operations may use complex arithmetic internally.
@@ -12,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+
+__all__ = ["Point", "point_pair_u", "distance", "distance_from_u", "pullback"]
+
 
 @dataclass(frozen=True)
 class Point:
@@ -50,3 +54,15 @@ def distance_from_u(u: np.ndarray) -> np.ndarray:
     2u + 1 rounds away u's digits (1.6e-3 relative error at u = 1e-14).
     """
     return 2.0 * np.arcsinh(np.sqrt(u))
+
+
+def pullback(z: Point) -> Point:
+    """Translate z into the standard fundamental domain |x| <= 1/2, |z| >= 1."""
+    x, y = z.x, z.y
+    for _ in range(200):
+        x -= round(x)
+        n2 = x * x + y * y
+        if n2 >= 1.0 - 1e-15:
+            return Point(x, y)
+        x, y = -x / n2, y / n2
+    raise ValidationError(f"fundamental-domain reduction did not terminate for {z}")

@@ -115,14 +115,16 @@ def lower_incomplete_exp(alpha: float, X) -> np.ndarray | float:
 
     Ascending series X^alpha * sum_k X^k / (2^k k! (alpha + k)); all terms
     positive, no cancellation, converges for every finite X.  The ratio of
-    a term to the partial sum grows with X, so the series is stopped when it
-    has converged at the largest X.
+    a term to the partial sum grows with X, so the series stops once it has
+    converged at the largest X, and at every X in case the largest overflowed
+    to inf.  The terms peak near k = X/2 and are done within
+    X/2 + 10 sqrt(X) + 10 terms; from X = 1415 on the sum overflows within 700.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"order must lie in (0, 1], got {alpha}")
     X_arr = np.asarray(X, dtype=float)
-    if np.any(X_arr < 0.0):
-        raise DomainError("X must be >= 0")
+    if not np.all(X_arr >= 0.0):
+        raise DomainError("X must be >= 0 and not NaN")
     if X_arr.size == 0:
         return np.zeros(X_arr.shape)
     scalar = X_arr.ndim == 0
@@ -131,13 +133,15 @@ def lower_incomplete_exp(alpha: float, X) -> np.ndarray | float:
     acc = np.full(X_arr.shape, 1.0 / alpha)
     term = np.full(X_arr.shape, 1.0 / alpha)
     half_x = 0.5 * X_arr
-    for k in range(1, 400):
+    for k in range(1, 400 + int(min(X_arr.flat[top], 1420.0))):
         term *= half_x
         term *= alpha + k - 1
         term /= k * (alpha + k)
         acc += term
-        if term.flat[top] <= 1e-17 * acc.flat[top]:
+        if term.flat[top] <= 1e-17 * acc.flat[top] and np.all(term <= 1e-17 * acc):
             break
+    else:
+        raise NonConvergence(f"incomplete exponential series did not converge at X = {X_arr.flat[top]}")
     out = np.power(X_arr, alpha) * acc
     out[X_arr == 0.0] = 0.0
     return float(out[0]) if scalar else out

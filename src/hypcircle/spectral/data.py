@@ -19,7 +19,7 @@ from ..errors import (
     ParseError,
     ValidationError,
 )
-from ..geometry import Point
+from ..geometry import Point, pullback
 from ..specfun import bessel_k_imag_scaled, gauss_legendre
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "normalize_l2",
     "ensure_l2norm",
     "amplitude",
-    "pullback",
 ]
 
 _BUNDLED_NAME = "maass_psl2z.txt"
@@ -302,8 +301,11 @@ def amplitude(dataset: SpectralDataset, z: Point, w: Point) -> list[Amplitude]:
     """Spectral weights b_j = phi_j(z) conj(phi_j(w)) per distinct eigenvalue.
 
     Entries whose spectral parameters agree within 1e-9 are merged by
-    summing their weights, so synthetic multiplicity is honored.
+    summing their weights, so synthetic multiplicity is honored.  The forms
+    are evaluated at the fundamental-domain representatives of z and w, where
+    their Fourier series need the fewest terms; phi(gamma z) = phi(z).
     """
+    z, w = pullback(z), pullback(w)
     out: list[Amplitude] = []
     for f in dataset.forms:
         b = complex(maass_value(f, z)) * complex(maass_value(f, w)).conjugate()
@@ -312,19 +314,3 @@ def amplitude(dataset: SpectralDataset, z: Point, w: Point) -> list[Amplitude]:
         else:
             out.append(Amplitude(f.t, b))
     return out
-
-
-# ---------------------------------------------------------------------------
-# fundamental-domain reduction
-# ---------------------------------------------------------------------------
-
-def pullback(z: Point) -> Point:
-    """Translate z into the standard fundamental domain |x| <= 1/2, |z| >= 1."""
-    x, y = z.x, z.y
-    for _ in range(200):
-        x -= round(x)
-        n2 = x * x + y * y
-        if n2 >= 1.0 - 1e-15:
-            return Point(x, y)
-        x, y = -x / n2, y / n2
-    raise ValidationError(f"fundamental-domain reduction did not terminate for {z}")

@@ -3,8 +3,8 @@
 shc_direct evaluates the transform of the normalized indicator kernel by
 quadrature; h_r_closed evaluates the same object through one Gauss
 hypergeometric series in e^{-2R} at every radius; shc_frac integrates the
-transform fractionally in the radius variable by a Gauss-Jacobi rule and
-carries the large-frequency main term alongside for comparison.
+transform fractionally in the radius variable by a composite Gauss-Jacobi rule
+on _shc_panels' panels and carries the large-frequency main term alongside.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ _MAX_RADIUS = 709.78  # log of the largest double: cosh and sinh overflow past i
 # h_r_closed's series needs ~20/R terms; below this cancellation costs digits
 _MIN_RADIUS = 0.01
 
-# shc_frac's nodes times shc_direct_grid's: 128 MiB per (radius, node) array
-_SHC_FRAC_NODE_BUDGET = 1 << 24
+# shc_frac's radii times the transform nodes of each; at s = 10, t up to 643
+_SHC_FRAC_EVALUATIONS = 1 << 26
 
 
 def _shc_panels(s: float, t: float) -> tuple[int, int]:
@@ -149,6 +149,8 @@ def h_r_closed(R: float, t: complex) -> HrResult:
     tc = complex(t)
     if not cmath.isfinite(tc):
         raise DomainError(f"requires a finite t, got {t}")
+    if tc.real != 0.0 and tc.imag != 0.0:  # off both axes h_R(t) is complex
+        raise DomainError(f"requires a real or purely imaginary t, got {t}")
     it = 1j * tc
     if abs(it.real - round(it.real)) < 1e-12 and abs(it.imag) < 1e-12:
         raise ArgumentOutOfRange(f"closed form undefined at integer i*t, got t = {t}")
@@ -192,19 +194,19 @@ class ShcFracResult:
 def shc_frac(s: float, t: float, order) -> ShcFracResult:
     """Fractional integral (in the radius) of the normalized kernel transform.
 
-    frac_integral_at on |t| s / 2 + 40 nodes for the |t| s / (2 pi) oscillations
-    (doubling them moves no value by over 1e-7 relative at s = 10, t <= 100); the
-    `asymptotic` field is Re(r_alpha(t) e^{i t s}).
+    frac_integral_at on the panels _shc_panels lays out for the transform too
+    (doubling them moves no value by over 1e-9 relative at s = 10, t <= 100);
+    the `asymptotic` field is Re(r_alpha(t) e^{i t s}).
     """
     if not 2.0 < s < math.inf:
         raise DomainError(f"requires a finite s > 2, got {s}")
     if not (math.isfinite(t) and t != 0.0):
         raise DomainError(f"requires a finite t != 0, got {t}")
     alpha = _as_alpha(order)
-    nodes = math.ceil(abs(t) * s / 2.0) + 40
     panels, per_panel = _shc_panels(s, t)
-    if nodes * panels * per_panel > _SHC_FRAC_NODE_BUDGET:
-        raise DomainError(f"|t| s = {abs(t) * s:.3g} needs more than {_SHC_FRAC_NODE_BUDGET} nodes")
-    value = frac_integral_at(lambda x: shc_direct_grid(x, t), alpha, s, nodes)
+    # each of the panels x 32 radii meets at most panels x per_panel transform nodes
+    if (panels * per_panel) ** 2 > _SHC_FRAC_EVALUATIONS:
+        raise DomainError(f"|t| s = {abs(t) * s:.3g} needs over {_SHC_FRAC_EVALUATIONS} evaluations")
+    value = frac_integral_at(lambda x: shc_direct_grid(x, t), alpha, s, panels)
     asym = (r_alpha(t, alpha) * cmath.exp(1j * t * s)).real
     return ShcFracResult(value, float(asym))

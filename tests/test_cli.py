@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypcircle.cli import _emit, main
+from hypcircle.cli import _emit, _write_csv, main
 from hypcircle.errors import ValidationError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -74,6 +74,13 @@ class TestErrorTerm:
         s0, v0 = lines[1].split(",")
         assert float(s0) == 0.0
         assert float(v0) == pytest.approx(-1.0)
+
+    def test_csv_bytes(self, tmp_path):
+        # 17 significant digits round-trip every double; counts print as integers
+        path = tmp_path / "v.csv"
+        _write_csv(path, np.array([-0.0, 5e-324, math.pi]), np.array([0, 7, 123456789]))
+        assert path.read_bytes() == (b"s,value\n-0,0\n4.9406564584124654e-324,7\n"
+                                     b"3.1415926535897931,123456789\n")
 
     def test_exact_method(self, capsys, tmp_path):
         grid_path = tmp_path / "grid.csv"
@@ -198,6 +205,13 @@ class TestJsonCommands:
         assert code == 0
         assert set(payload) == {"empirical", "spectral_value", "spectral_tail", "ratio"}
         assert payload["spectral_value"] > 0
+
+    def test_variance_below_fundamental_domain(self, capsys):
+        # at y = 0.05 the Fourier series would need 111 coefficients; the forms
+        # are evaluated at the reduced point (0, 20) instead
+        code, out, err = run(capsys, "variance", "--z", "0,0.05", "--alpha", "0.5", "--T", "3")
+        assert code == 0, err
+        assert json.loads(out)["spectral_value"] > 0
 
     def test_scan_pointwise(self, capsys):
         code, out, _ = run(capsys, "scan-pointwise", "--alpha", "0.75", "--smax", "9")

@@ -132,6 +132,21 @@ class TestLimitsAndErrors:
             BallSpec(I, I, -1.0)
 
 
+class TestReducedCentre:
+    # candidate rows grow like pi e^s / Im z; the centre is reduced first
+
+    def test_low_centre_counts_as_its_image(self):
+        # unreduced, (0, 0.001) needs 5e8 candidate rows, past the row cap
+        low, high = Point(0.0, 0.001), Point(0.0, 1000.0)
+        assert count_ball(BallSpec(low, I, 12.0)) == count_ball(BallSpec(high, I, 12.0))
+
+    def test_low_centre_rows_scanned(self):
+        # 2,103,260 rows unreduced, 212 at the image (0, 100)
+        s = 10.0
+        _, diag = count_ball(BallSpec(Point(0.0, 0.01), I, s), with_diagnostics=True)
+        assert diag.rows_scanned <= 4.0 * math.exp(s)
+
+
 class TestDistanceDump:
     def test_roundtrip(self, tmp_path):
         spec = BallSpec(Point(0.2, 1.3), Point(-0.1, 0.9), 4.0)

@@ -9,6 +9,7 @@ MODULES = [
     "hypcircle",
     "hypcircle.counting",
     "hypcircle.fracint",
+    "hypcircle.geometry",
     "hypcircle.experiments",
     "hypcircle.specfun",
     "hypcircle.spectral",

@@ -174,6 +174,23 @@ class TestLowerIncompleteExp:
                             / alpha)
             assert lower_incomplete_exp(alpha, X) == pytest.approx(ref, rel=1e-11)
 
+    @pytest.mark.parametrize("X", [700.0, 1000.0])
+    def test_large_argument(self, X):
+        # the terms peak near k = X/2; a fixed 400-term cap stopped short,
+        # 4.1e-3 off at X = 700 and 1.85e210 against 8.89e215 at X = 1000
+        for alpha in (0.05, 0.5, 1.0):
+            with mp.workdps(30):
+                ref = float(mp.mpf(X) ** alpha / alpha * mp.hyp1f1(alpha, alpha + 1, X / 2))
+            assert lower_incomplete_exp(alpha, X) == pytest.approx(ref, rel=1e-12)
+
+    def test_overflow_is_inf(self):
+        # e^{X/2} overflows past X = 1420: inf there, and the series still
+        # runs until the smaller X beside it has converged
+        with np.errstate(over="ignore"):
+            got = lower_incomplete_exp(0.5, np.array([1000.0, 1500.0]))
+        assert got[0] == pytest.approx(lower_incomplete_exp(0.5, 1000.0), rel=1e-14)
+        assert got[1] == math.inf
+
     def test_vectorized_matches_scalar(self):
         X = np.array([0.0, 0.3, 2.0, 11.0])
         vec = lower_incomplete_exp(0.4, X)
@@ -186,3 +203,9 @@ class TestLowerIncompleteExp:
         assert np.array_equal(lower_incomplete_exp(0.4, X),
                               lower_incomplete_exp(0.4, X.ravel()).reshape(2, 2))
         assert lower_incomplete_exp(0.4, np.empty(0)).shape == (0,)
+
+    def test_domain(self):
+        # a NaN would never converge; it was summed to the cap and returned as NaN
+        for X in (-1.0, math.nan, np.array([2.0, math.nan])):
+            with pytest.raises(DomainError):
+                lower_incomplete_exp(0.5, X)

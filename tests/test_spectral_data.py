@@ -11,7 +11,7 @@ from hypcircle.errors import (
     ParseError,
     ValidationError,
 )
-from hypcircle.geometry import Point
+from hypcircle.geometry import Point, pullback
 from hypcircle.spectral import (
     SpectralDataset,
     SpectralDatum,
@@ -21,7 +21,7 @@ from hypcircle.spectral import (
     maass_value,
     normalize_l2,
 )
-from hypcircle.spectral.data import dump_spectral_data, parse_spectral_data, pullback
+from hypcircle.spectral.data import dump_spectral_data, parse_spectral_data
 
 I = Point(0.0, 1.0)
 

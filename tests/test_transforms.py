@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
-from hypcircle import constants
+from hypcircle import constants, fracint
 from hypcircle.errors import ArgumentOutOfRange, DomainError, ValidationError
-from hypcircle.fracint import SampledSeries, frac_integral_at, frac_integrate
+from hypcircle.fracint import SampledSeries, frac_exp_reference, frac_integral_at, frac_integrate
 from hypcircle.spectral.transforms import (
+    _shc_panels,
     h_r_closed,
     htilde,
     r_alpha,
@@ -125,6 +128,10 @@ class TestHrClosed:
                      (math.inf, 1.0), (711.0, 1.0)]:
             with pytest.raises(DomainError):
                 h_r_closed(R, t)
+        # off both axes the transform is complex (-1.83807 + 1.68804i at R = 2,
+        # t = 3 + 0.5i); the real value cannot carry it
+        with pytest.raises(DomainError):
+            h_r_closed(2.0, 3.0 + 0.5j)
 
 
 class TestHtilde:
@@ -232,22 +239,51 @@ class TestShcFrac:
         ref = frac_integrate(SampledSeries(0.0, s / cells, vals), alpha).values[-1]
         assert shc_frac(s, t, alpha).value == pytest.approx(ref, rel=3e-5)
 
-    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.75, 1.0])
     def test_node_doubling(self, alpha):
-        # twice the nodes shc_frac uses moves no value by more than 1e-7 relative
+        # twice the panels shc_frac uses moves no value by more than 1e-9 relative
+        # (measured 1.9e-10); the former global Gauss-Jacobi rule moved alpha = 0.05
+        # by more than 1e-8
         s = 10.0
         for t in np.geomspace(5.0, 100.0, 9):
             t = float(t)
             value = shc_frac(s, t, alpha).value
-            nodes = 2 * (math.ceil(t * s / 2.0) + 40)
-            doubled = frac_integral_at(lambda x: shc_direct_grid(x, t), alpha, s, nodes)
-            assert value == pytest.approx(doubled, rel=1e-7), t
+            panels = 2 * _shc_panels(s, t)[0]
+            doubled = frac_integral_at(lambda x: shc_direct_grid(x, t), alpha, s, panels)
+            assert value == pytest.approx(doubled, rel=1e-9), t
+
+    def test_jacobi_nodes_bounded(self, monkeypatch):
+        # scipy's Gauss-Jacobi nodes lose accuracy as their count grows; the
+        # composite rule asks for 32 at a time, however large |t| s
+        calls = []
+
+        def spy(n, a, b):
+            calls.append(n)
+            return roots_jacobi(n, a, b)
+
+        monkeypatch.setattr(fracint, "roots_jacobi", spy)
+        shc_frac(10.0, 100.0, 0.05)
+        shc_frac(3.0, 500.0, 0.5)
+        frac_exp_reference(3.0, 0.25, 30.0, method="quadrature")
+        assert calls and max(calls) <= 32
+
+    def test_memory_per_panel(self):
+        # shc_direct_grid sees one panel's 32 radii at a time: numpy's peak
+        # allocation reads 10 MiB, where the former rule held all 2,540 radii
+        # against the transform nodes and peaked at 619 MiB
+        tracemalloc.start()
+        try:
+            shc_frac(10.0, 500.0, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * 2 ** 20
 
     def test_domain(self):
         with pytest.raises(DomainError):
             shc_frac(1.0, 5.0, 0.5)
-        # at s = 100, t = 1000, 50,040 nodes times the transform's 127,328
-        # would need 47 GiB per array
+        # at s = 100, t = 1000, 3,979 panels of 32 radii would each meet up to
+        # 127,328 transform nodes: 1.6e10 evaluations, past the work bound
         for s, t in [(5.0, 0.0), (5.0, math.nan), (5.0, -math.inf), (math.inf, 1.0),
                      (100.0, 1000.0)]:
             with pytest.raises(DomainError):
