@@ -2,11 +2,14 @@
 
 count_ball enumerates {gamma in PSL(2,Z) : d(z, gamma w) <= s} in
 O(N + #rows): candidate bottom rows (c,d) are cut by an exact height bound,
-one Bezout lift per row fixes a base orbit point, and the remaining elements
-with that row differ by integer horizontal translations, so each row
-contributes an integer interval of translation indices.  The rows number about
-pi e^s / Im z, so the centre z is first reduced to the fundamental domain:
-d(z, gamma w) = d(gamma^-1 z, w) leaves the distances unchanged.
+a Bezout lift fixes a base orbit point per row (one Euclid per residue class
+d mod c, shared by every row of the class), and the remaining elements with
+that row differ by integer horizontal translations, so each row contributes an
+integer interval of translation indices.  The rows number about pi e^s / Im z,
+so the centre z is first reduced to the fundamental domain:
+d(z, gamma w) = d(gamma^-1 z, w) leaves the distances unchanged.  w is
+reduced too: its orbit is the same set, and a reduced w keeps c below about
+e^{s/2} and the residue table below about e^s entries.
 
 brute_force_count is an independent validation oracle that scans every
 integer matrix inside an entry bound.
@@ -95,26 +98,35 @@ class CountDiagnostics:
 
 
 def _bezout_tops(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Bezout lift: (a, b) with a*d - b*c == 1 for coprime rows.
+    """Vectorized Bezout lift: (a, b) with a*d - b*c == 1 for coprime rows, c >= 1.
 
-    Tracks the coefficient of d through the Euclidean algorithm on (d, c).
+    Tracks the coefficient of d through the Euclidean algorithm on (d, c).  Its
+    first step leaves (c, d mod c) with coefficients (0, 1) whatever the
+    quotient, so a depends on d only through d mod c: the rest runs once per
+    residue class and a is gathered back to the rows.  The classes sit in a
+    dense table over the c values present, of about c_max^2 / 2 entries, which
+    is below the row count when w is reduced (Im w >= sqrt(3)/2).
     """
-    r0 = d.astype(np.int64).copy()
-    r1 = c.astype(np.int64).copy()
-    s0 = np.ones_like(r0)
-    s1 = np.zeros_like(r0)
-    active = r1 != 0
-    while np.any(active):
-        q = np.zeros_like(r0)
-        np.floor_divide(r0, r1, out=q, where=active)
-        r0_new = np.where(active, r1, r0)
-        r1_new = np.where(active, r0 - q * r1, r1)
-        s0_new = np.where(active, s1, s0)
-        s1_new = np.where(active, s0 - q * s1, s1)
-        r0, r1, s0, s1 = r0_new, r1_new, s0_new, s1_new
-        active = r1 != 0
-    # r0 = gcd in {+1,-1} here; flip sign so a*d + t*c = +1
-    a = s0 * r0
+    c = c.astype(np.int64)
+    d = d.astype(np.int64)
+    if c.size == 0:
+        return c.copy(), c.copy()
+    r = d % c
+    c_lo = int(c.min())
+    slot = (c * (c - 1) - c_lo * (c_lo - 1)) // 2 + r
+    # the table first holds a representative row per class, then that class's a
+    table = np.full(int(slot.max()) + 1, -1, dtype=np.int64)
+    table[slot] = np.arange(c.size)
+    live = np.flatnonzero(table >= 0)
+    r0, r1 = c[table[live]], r[table[live]]
+    s0, s1 = np.zeros_like(r0), np.ones_like(r0)
+    while live.size:
+        done = r1 == 0
+        table[live[done]] = s0[done]  # remainders stay >= 0, so the gcd is +1
+        live, r0, r1, s0, s1 = (v[~done] for v in (live, r0, r1, s0, s1))
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    a = table[slot]
     b = (a * d - 1) // c
     return a, b
 
@@ -188,7 +200,7 @@ def _orbit_rows(spec: BallSpec):
 
 def count_ball(spec: BallSpec, with_diagnostics: bool = False):
     """Exact number of gamma in PSL(2,Z) with d(z, gamma w) <= s."""
-    spec = replace(spec, z=pullback(spec.z))
+    spec = replace(spec, z=pullback(spec.z), w=pullback(spec.w))
     x0, y0 = _orbit_rows(spec)
     _, _, counts = _k_intervals(spec, x0, y0, _BOUNDARY_GUARD)
     total = int(counts.sum())
@@ -203,7 +215,7 @@ def count_ball(spec: BallSpec, with_diagnostics: bool = False):
 
 def list_distances(spec: BallSpec) -> DistanceMultiset:
     """All orbit distances d(z, gamma w) <= s, sorted ascending with multiplicity."""
-    spec = replace(spec, z=pullback(spec.z))
+    spec = replace(spec, z=pullback(spec.z), w=pullback(spec.w))
     x0, y0 = _orbit_rows(spec)
     k_lo, k_hi, counts = _k_intervals(spec, x0, y0, _BOUNDARY_GUARD)
     total = int(counts.sum())

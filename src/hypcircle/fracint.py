@@ -7,6 +7,8 @@ accuracy for smooth inputs and degrades gracefully to O(step^alpha) only at
 jump cells, which matters because lattice-point error terms jump at every
 orbit distance.  The fractional integral of a smooth function at one point is
 a composite Gauss-Jacobi rule instead (frac_integral_at, 32-point panels).
+SciPy is imported inside the two functions that call it, so that importing
+the package, counting and the grid path never load it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, roots_jacobi
 
 from .errors import DomainError, NonConvergence, ValidationError
 from .specfun import gauss_legendre, lower_incomplete_exp
@@ -31,6 +32,9 @@ __all__ = [
 
 # Default grid spacing; quoted accuracy budgets elsewhere assume this value.
 DEFAULT_STEP = 1.0 / 512.0
+
+# Largest s - d frac_indicator_exp accepts: lower_incomplete_exp overflows from 1415.
+_INDICATOR_X_MAX = 1400.0
 
 
 def _as_alpha(order) -> float:
@@ -99,6 +103,8 @@ def frac_integral_at(f, order, s: float, panels: int) -> float:
     but the last, whose singular kernel is the weight (1-y)^(a-1) of 32-point
     Gauss-Jacobi; f is called once per panel, and h^a factored out so s = 0 gives 0.
     """
+    from scipy.special import roots_jacobi
+
     alpha = _as_alpha(order)
     h = s / panels
     x, w = gauss_legendre(32)
@@ -127,6 +133,8 @@ def frac_exp_reference(beta: float, order, s, method: str = "closed") -> float |
     if np.any(s_arr < 0.0):
         raise DomainError("requires s >= 0")
     if method == "closed":
+        from scipy.special import gammainc
+
         out = np.exp(beta * s_arr) * gammainc(alpha, beta * s_arr) / beta ** alpha
         return float(out) if s_arr.ndim == 0 else out
     if method == "quadrature":
@@ -146,13 +154,17 @@ def frac_indicator_exp(d: float, order, s) -> float | np.ndarray:
 
         (1/Gamma(a)) integral_d^s exp(-t/2) (s-t)^(a-1) dt   for s > d, else 0.
 
-    Evaluated as exp(-s/2)/Gamma(a) * integral_0^{s-d} exp(u/2) u^(a-1) du.
+    Evaluated as exp(-s/2)/Gamma(a) * integral_0^{s-d} exp(u/2) u^(a-1) du,
+    whose integral overflows, so s - d > _INDICATOR_X_MAX is a DomainError.
     """
     alpha = _as_alpha(order)
     if d < 0.0:
         raise DomainError(f"requires d >= 0, got {d}")
     s_arr = np.asarray(s, dtype=float)
     X = np.maximum(s_arr - d, 0.0)
+    if np.any(X > _INDICATOR_X_MAX):
+        raise DomainError(f"requires s - d <= {_INDICATOR_X_MAX:g}, where the integral overflows; "
+                          f"got {float(np.max(X)):g}")
     out = np.exp(-0.5 * s_arr) * lower_incomplete_exp(alpha, X) / math.gamma(alpha)
     out = np.where(s_arr > d, out, 0.0)
     return float(out) if s_arr.ndim == 0 else out

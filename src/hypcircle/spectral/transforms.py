@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
 from ..errors import ArgumentOutOfRange, DomainError
 from ..fracint import _as_alpha, frac_integral_at
@@ -118,6 +117,8 @@ def _gamma_ratio(z: complex) -> complex:
     ratio ~ z^{-3/2} stays finite. The ratio is 0 where 3/2 + z is a pole of
     Gamma, where loggamma gives NaN.
     """
+    from scipy.special import loggamma  # here, so that importing hypcircle skips SciPy
+
     w = 1.5 + z
     if w.imag == 0.0 and w.real <= 0.0 and w.real.is_integer():
         return 0j

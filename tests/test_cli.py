@@ -32,6 +32,40 @@ def test_import_skips_scipy_signal():
     assert proc.stdout.strip() == "False"
 
 
+def test_counting_commands_skip_scipy(tmp_path):
+    # SciPy costs about 0.3 s at start-up; count, grid error-term and moments
+    # never call it, so it loads only where a SciPy function is first called
+    out, code = tmp_path / "e.csv", (
+        "import sys\n"
+        "from hypcircle.cli import main\n"
+        "loaded = ['scipy' in sys.modules]\n"
+        "for argv in (['count', '--s', '3'],\n"
+        "             ['error-term', '--smax', '4', '--alpha', '0.25', '--out', sys.argv[1]],\n"
+        "             ['moments', '--in', sys.argv[1], '--T', '1']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    loaded.append('scipy' in sys.modules)\n"
+        "print(loaded, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(out)],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[False, False, False, False]"
+
+
+@pytest.mark.parametrize("argv", [
+    ("error-term", "--smax", "4", "--alpha", "0.25", "--method", "exact"),
+    ("shc", "--s", "3", "--t", "4", "--alpha", "0.5"),
+])
+def test_scipy_commands_in_fresh_process(tmp_path, argv):
+    # these call SciPy, which a fresh process has not imported yet
+    if argv[0] == "error-term":
+        argv += ("--out", str(tmp_path / "e.csv"))
+    proc = subprocess.run([sys.executable, "-m", "hypcircle.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestCount:
     def test_basic(self, capsys):
         code, out, _ = run(capsys, "count", "--s", "1")

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hypcircle.errors import (
     ValidationError,
 )
 from hypcircle import counting
-from hypcircle.geometry import Point
+from hypcircle.geometry import Point, pullback
 
 I = Point(0.0, 1.0)
 
@@ -145,6 +146,62 @@ class TestReducedCentre:
         s = 10.0
         _, diag = count_ball(BallSpec(Point(0.0, 0.01), I, s), with_diagnostics=True)
         assert diag.rows_scanned <= 4.0 * math.exp(s)
+
+
+class TestReducedOrbitPoint:
+    # the orbit of w is the orbit of its image in the fundamental domain
+
+    def test_low_orbit_point_counts_as_its_image(self):
+        # the rows are the same cosets either way, but unreduced, (0.3, 0.001)
+        # has c up to 4,243 at s = 10 and a residue table of 9e6 entries (72 MB;
+        # 5e8 entries at s = 14); its image (0.3, 10) has c <= 42
+        w, z = Point(0.3, 1e-3), Point(0.1, 1.2)
+        tracemalloc.start()
+        try:
+            n, diag = count_ball(BallSpec(z, w, 10.0), with_diagnostics=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert (n, diag) == count_ball(BallSpec(z, pullback(w), 10.0), with_diagnostics=True)
+        spec = BallSpec(z, w, 3.0)
+        assert count_ball(spec) == brute_force_count(spec, required_entry_bound(spec)) == 45
+
+    @pytest.mark.parametrize("w", [Point(-0.5, math.sqrt(0.75)), Point(0.5, 1.0),
+                                   Point(0.3, 1.1), Point(-0.2, 7.0)])
+    def test_reduced_orbit_point_left_as_is(self, w):
+        # so counts and distances for such w are bit-identical to the unreduced path
+        assert pullback(w) == w
+
+
+def _euclid_lift(c: int, d: int) -> tuple[int, int]:
+    """Per-row extended Euclid on (d, c): a*d - b*c = 1, a tracked as d's coefficient."""
+    r0, r1, s0, s1 = d, c, 1, 0
+    while r1:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    a = s0 * r0
+    return a, (a * d - 1) // c
+
+
+class TestResidueLift:
+    @pytest.mark.parametrize("spec", [
+        BallSpec(I, I, 4.0),
+        BallSpec(Point(0.2, 1.3), Point(-0.4, 0.95), 11.0),
+        BallSpec(Point(-0.45, 0.9), Point(-0.1, 2.5), 8.0),
+        BallSpec(Point(0.0, 3.0), Point(0.5, math.sqrt(0.75)), 9.0),
+    ])
+    def test_matches_per_row_euclid(self, spec, monkeypatch):
+        c, d = counting._enumerate_rows(spec)
+        assert np.any(c == 1) and np.any(d < 0)
+        a, b = counting._bezout_tops(c, d)
+        ref = np.array([_euclid_lift(int(ci), int(di)) for ci, di in zip(c, d)]).reshape(-1, 2)
+        assert np.array_equal(a, ref[:, 0]) and np.array_equal(b, ref[:, 1])
+        assert np.all(a * d - b * c == 1)
+        x0, y0 = counting._row_geometry(spec, c, d)
+        monkeypatch.setattr(counting, "_bezout_tops", lambda c, d: (ref[:, 0], ref[:, 1]))
+        x0_ref, y0_ref = counting._row_geometry(spec, c, d)
+        assert np.array_equal(x0, x0_ref) and np.array_equal(y0, y0_ref)
 
 
 class TestDistanceDump:

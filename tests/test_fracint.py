@@ -172,3 +172,18 @@ class TestFracIndicatorExp:
                     lambda v: mp.e ** (-(s - v ** (1.0 / a)) / 2), [0, (s - d) ** a])
                     / a / mp.gamma(a))
             assert frac_indicator_exp(d, a, s) == pytest.approx(ref, rel=1e-10)
+
+    def test_overflow_limit(self):
+        # the integral, of size e^{X/2}, overflows from X = s - d = 1415, where
+        # the result came out inf or NaN; below the limit it matches mpmath
+        import mpmath as mp
+        a, X = 0.5, 1400.0
+        with mp.workdps(30):
+            ref = float(mp.e ** (-X / 2) * X ** a / a * mp.hyp1f1(a, a + 1, X / 2) / mp.gamma(a))
+        assert ref == pytest.approx(0.0301787889377, rel=1e-11)
+        assert frac_indicator_exp(0.0, a, X) == pytest.approx(ref, rel=1e-12)
+        for d, s in [(0.0, 1500.0), (10.0, 1411.0)]:
+            with pytest.raises(DomainError, match="1400"):
+                frac_indicator_exp(d, a, s)
+        with pytest.raises(DomainError):
+            frac_indicator_exp(0.0, a, np.array([5.0, 1500.0]))
