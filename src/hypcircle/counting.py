@@ -1,15 +1,15 @@
 """Exact orbit counting for the modular group.
 
 count_ball enumerates {gamma in PSL(2,Z) : d(z, gamma w) <= s} in
-O(N + #rows): candidate bottom rows (c,d) are cut by an exact height bound,
-a Bezout lift fixes a base orbit point per row (one Euclid per residue class
-d mod c, shared by every row of the class), and the remaining elements with
-that row differ by integer horizontal translations, so each row contributes an
-integer interval of translation indices.  The rows number about pi e^s / Im z,
-so the centre z is first reduced to the fundamental domain:
-d(z, gamma w) = d(gamma^-1 z, w) leaves the distances unchanged.  w is
-reduced too: its orbit is the same set, and a reduced w keeps c below about
-e^{s/2} and the residue table below about e^s entries.
+O(N + #rows).  An exact height bound leaves an interval of d per c for the
+bottom rows (c,d); the rows are built from their residue classes d mod c, with
+one Euclid per class for the Bezout lift that fixes each row's base orbit
+point.  The other elements with that row differ by integer horizontal
+translations, so each row contributes an integer interval of them.  The rows
+number about pi e^s / Im z, so the centre z is first reduced to the
+fundamental domain: d(z, gamma w) = d(gamma^-1 z, w) leaves the distances
+unchanged.  w is reduced too: its orbit is the same set, and a reduced w keeps
+c below about e^{s/2}.
 
 brute_force_count is an independent validation oracle that scans every
 integer matrix inside an entry bound.
@@ -97,60 +97,23 @@ class CountDiagnostics:
     boundary_ties: int
 
 
-def _bezout_tops(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Bezout lift: (a, b) with a*d - b*c == 1 for coprime rows, c >= 1.
+def _orbit_rows(spec: BallSpec):
+    """Base orbit point (x0, y0) = gamma0(w) of the c=0 row, then of every row (c, d)
+    with Im(gamma0 w) >= Im(z) e^{-s}, i.e. |c w + d|^2 <= e^s Im(w)/Im(z).
 
-    Tracks the coefficient of d through the Euclidean algorithm on (d, c).  Its
-    first step leaves (c, d mod c) with coefficients (0, 1) whatever the
-    quotient, so a depends on d only through d mod c: the rest runs once per
-    residue class and a is gathered back to the rows.  The classes sit in a
-    dense table over the c values present, of about c_max^2 / 2 entries, which
-    is below the row count when w is reduced (Im w >= sqrt(3)/2).
-    """
-    c = c.astype(np.int64)
-    d = d.astype(np.int64)
-    if c.size == 0:
-        return c.copy(), c.copy()
-    r = d % c
-    c_lo = int(c.min())
-    slot = (c * (c - 1) - c_lo * (c_lo - 1)) // 2 + r
-    # the table first holds a representative row per class, then that class's a
-    table = np.full(int(slot.max()) + 1, -1, dtype=np.int64)
-    table[slot] = np.arange(c.size)
-    live = np.flatnonzero(table >= 0)
-    r0, r1 = c[table[live]], r[table[live]]
-    s0, s1 = np.zeros_like(r0), np.ones_like(r0)
-    while live.size:
-        done = r1 == 0
-        table[live[done]] = s0[done]  # remainders stay >= 0, so the gcd is +1
-        live, r0, r1, s0, s1 = (v[~done] for v in (live, r0, r1, s0, s1))
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    a = table[slot]
-    b = (a * d - 1) // c
-    return a, b
-
-
-def _row_geometry(spec: BallSpec, c: np.ndarray, d: np.ndarray):
-    """Base orbit point (x0, y0) = gamma0(w) for each bottom row."""
-    a, b = _bezout_tops(c, d)
-    wc = spec.w.z
-    den = c * wc + d
-    den2 = den.real ** 2 + den.imag ** 2
-    y0 = spec.w.y / den2
-    num = a * wc + b
-    x0 = (num * den.conjugate()).real / den2
-    return x0, y0
-
-
-def _enumerate_rows(spec: BallSpec):
-    """All canonical bottom rows (c, d) that can meet the ball, plus the c=0 row.
-
-    The exact necessary condition is Im(gamma0 w) >= Im(z) e^{-s}, i.e.
-    |c w + d|^2 <= e^s Im(w)/Im(z); a relative guard keeps boundary rows.
+    Per c, the d form an interval whose first min(length, c) values lead the
+    residue classes d mod c.  The Euclid on (d, c) first steps to (c, d mod c)
+    with coefficients (0, 1), so gcd and Bezout lift a*d - b*c = 1 run once per
+    class; each class expands to its rows d = lead + j*c, ordered by c.
     """
     z, w, s = spec.z, spec.w, spec.s
+    if s > DEFAULT_S_MAX:
+        raise RadiusTooLarge(f"radius {s} exceeds ceiling {DEFAULT_S_MAX}")
     cosh_eff = math.cosh(s) * (1.0 + _BOUNDARY_GUARD)
+    # the c=0 row spans the most translations k; past 2^50 they are not exact
+    # doubles, and the height products of _k_intervals overflow
+    if not math.sqrt(2.0 * (cosh_eff - 1.0) * z.y * w.y) <= 2.0 ** 50:
+        raise ValidationError(f"Im z = {z.y:g} and Im w = {w.y:g} are too high for radius {s:g}")
     exp_eff = cosh_eff + math.sqrt(max(cosh_eff * cosh_eff - 1.0, 0.0))
     B = exp_eff * w.y / z.y * (1.0 + _BOUNDARY_GUARD)
     c_max = int(math.floor(math.sqrt(B) / w.y))
@@ -162,12 +125,31 @@ def _enumerate_rows(spec: BallSpec):
     total = int(n_per_c.sum())
     if total > DEFAULT_POINT_CAP:
         raise MemoryBudgetExceeded(f"{total} candidate rows exceed cap {DEFAULT_POINT_CAP}")
-    c_all = np.repeat(cs, n_per_c)
-    starts = np.repeat(np.cumsum(n_per_c) - n_per_c, n_per_c)
-    d_all = (np.arange(total, dtype=np.int64) - starts
-             + np.repeat(d_lo, n_per_c))
-    cop = np.gcd(c_all, d_all) == 1
-    return c_all[cop], d_all[cop]
+    n_cls = np.minimum(n_per_c, cs)
+    c = np.repeat(cs, n_cls)
+    lead = np.arange(c.size) + np.repeat(d_lo - (np.cumsum(n_cls) - n_cls), n_cls)
+    d_top = np.repeat(d_hi, n_cls)
+    cop = np.gcd(c, lead) == 1
+    c, lead, d_top = c[cop], lead[cop], d_top[cop]
+    # extended Euclid on (c, lead mod c), tracking the coefficient of lead
+    a = np.empty_like(c)
+    live, r0, r1 = np.arange(c.size), c, lead % c
+    s0, s1 = np.zeros_like(c), np.ones_like(c)
+    while live.size:
+        done = r1 == 0
+        a[live[done]] = s0[done]  # remainders stay >= 0, so the gcd is +1
+        live, r0, r1, s0, s1 = (v[~done] for v in (live, r0, r1, s0, s1))
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    n = (d_top - lead) // c + 1
+    a, c, d = np.repeat(a, n), np.repeat(c, n), np.repeat(lead - (np.cumsum(n) - n) * c, n)
+    d += np.arange(c.size) * c
+    b = (a * d - 1) // c
+    den = c * w.z + d
+    den2 = den.real ** 2 + den.imag ** 2
+    y0 = w.y / den2
+    x0 = ((a * w.z + b) * den.conjugate()).real / den2
+    return np.concatenate([[w.x], x0]), np.concatenate([[w.y], y0])
 
 
 def _k_intervals(spec: BallSpec, x0: np.ndarray, y0: np.ndarray, guard: float):
@@ -183,19 +165,6 @@ def _k_intervals(spec: BallSpec, x0: np.ndarray, y0: np.ndarray, guard: float):
     k_hi = np.floor(center + r).astype(np.int64)
     counts = np.where(ok, np.maximum(k_hi - k_lo + 1, 0), 0)
     return k_lo, k_hi, counts
-
-
-def _orbit_rows(spec: BallSpec):
-    """Base orbit point (x0, y0) of every row that can meet the ball.
-
-    The c=0 row (gamma = T^k, base point w itself) comes first, then the
-    rows of _enumerate_rows.
-    """
-    if spec.s > DEFAULT_S_MAX:
-        raise RadiusTooLarge(f"radius {spec.s} exceeds ceiling {DEFAULT_S_MAX}")
-    c, d = _enumerate_rows(spec)
-    x0, y0 = _row_geometry(spec, c, d)
-    return np.concatenate([[spec.w.x], x0]), np.concatenate([[spec.w.y], y0])
 
 
 def count_ball(spec: BallSpec, with_diagnostics: bool = False):
@@ -217,21 +186,27 @@ def list_distances(spec: BallSpec) -> DistanceMultiset:
     """All orbit distances d(z, gamma w) <= s, sorted ascending with multiplicity."""
     spec = replace(spec, z=pullback(spec.z), w=pullback(spec.w))
     x0, y0 = _orbit_rows(spec)
-    k_lo, k_hi, counts = _k_intervals(spec, x0, y0, _BOUNDARY_GUARD)
+    k_lo, _, counts = _k_intervals(spec, x0, y0, _BOUNDARY_GUARD)
     total = int(counts.sum())
     if total > DEFAULT_POINT_CAP:
         raise MemoryBudgetExceeded(f"{total} orbit points exceed cap {DEFAULT_POINT_CAP}")
-    keep = counts > 0
-    x0, y0, k_lo, counts = x0[keep], y0[keep], k_lo[keep], counts[keep]
-    starts = np.cumsum(counts) - counts
-    idx = np.arange(total, dtype=np.int64)
-    k = idx - np.repeat(starts, counts) + np.repeat(k_lo, counts)
-    dx = spec.z.x - (np.repeat(x0, counts) + k)
-    dy = spec.z.y - np.repeat(y0, counts)
-    u = (dx * dx + dy * dy) / (4.0 * spec.z.y * np.repeat(y0, counts))
+    # point i of row r is gamma0 w + k_lo[r] + i - (row r's first i), built in place
+    k = np.repeat(k_lo - (np.cumsum(counts) - counts), counts)
+    k += np.arange(total)
+    u = spec.z.x - (np.repeat(x0, counts) + k)
+    del k
+    u *= u
+    y = np.repeat(y0, counts)
+    dy = spec.z.y - y
+    dy *= dy
+    u += dy
+    del dy
+    y *= 4.0 * spec.z.y
+    u /= y
+    del y
     dist = distance_from_u(u)
     # guard-band points sit a hair above s; the closed-ball convention keeps them
-    dist = np.minimum(dist, spec.s)
+    np.minimum(dist, spec.s, out=dist)
     dist.sort()
     return DistanceMultiset(values=dist, s=spec.s)
 

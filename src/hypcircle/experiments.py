@@ -259,6 +259,8 @@ def _window_slice(series: SampledSeries, T: float, window: str):
             f"window [{lo}, {hi}] not covered by series [{first}, {last}]")
     i0 = _samples_below(series, lo - 1e-12)
     i1 = _samples_below(series, hi + 1e-12)
+    if i1 - i0 < 2:
+        raise ValidationError(f"window [{lo:g}, {hi:g}] needs two samples, it holds {i1 - i0}")
     return series.start + series.step * np.arange(i0, i1), i0, i1
 
 
@@ -333,9 +335,9 @@ def pointwise_scan(err: ErrorSeries) -> PointwiseScan:
     alpha = err.alpha if err.alpha is not None else 0.0
     grid = err.grid
     x_values = np.arange(8.0, grid[-1] + 1e-9, 1.0)
-    if x_values.size == 0:
-        raise ValidationError(
-            f"no scan point: x runs from 8 to the end of the series, {grid[-1]}")
+    if x_values.size < 2:
+        raise ValidationError(f"the exponent fit needs two scan points x = 8, 9, ...; "
+                              f"the series ends at {grid[-1]:g}")
     run_max = np.maximum.accumulate(np.abs(err.values))
     idx = np.searchsorted(grid, x_values + 1e-12) - 1
     sup = run_max[idx]

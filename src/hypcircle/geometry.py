@@ -8,6 +8,7 @@ construction; operations may use complex arithmetic internally.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,5 +65,7 @@ def pullback(z: Point) -> Point:
         n2 = x * x + y * y
         if n2 >= 1.0 - 1e-15:
             return Point(x, y)
+        if n2 < sys.float_info.min:
+            raise ValidationError(f"{z} lies too close to a cusp: |z|^2 underflows in its reduction")
         x, y = -x / n2, y / n2
     raise ValidationError(f"fundamental-domain reduction did not terminate for {z}")

@@ -297,12 +297,15 @@ class TestJsonCommands:
 
 @pytest.mark.parametrize("argv", [
     ["moments", "--T", "0"],
+    ["moments", "--T", "1e-5"],
+    ["moments", "--T", "1e-3"],
     ["variance", "--alpha", "0.5", "--T", "0"],
     ["variance", "--alpha", "0.5", "--T", "2", "--tmax", "1"],
     ["distribution", "--mode", "real", "--alpha", "0.5", "--T", "0"],
     ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "0"],
     ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "-3"],
     ["scan-pointwise", "--alpha", "0.5", "--smax", "3"],
+    ["scan-pointwise", "--alpha", "0.5", "--smax", "8"],
     ["variance", "--alpha", "0.5", "--T", "2", "--tmax", "nan"],
     ["shc", "--s", "3", "--t", "nan"],
     ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "100", "--bins", "0"],
@@ -320,17 +323,21 @@ class TestJsonCommands:
     ["shc", "--s", "711", "--t", "1"],
     ["shc", "--s", "0.005", "--t", "3"],
     ["shc", "--s", "100", "--t", "1000", "--alpha", "0.5"],
+    ["count", "--w", "0,1e-200", "--s", "3"],
+    ["count", "--z", "0,1e308", "--s", "3"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_empty_window_rejected(capsys, tmp_path, argv):
-    # a window or sample set with nothing in it, an infinite length, a step
-    # that is not positive and finite or gives more samples than the cap, a
-    # NaN or huge spectral parameter, a radius where cosh overflows, a
-    # fractional transform over its node budget, a NaN cut-off, or fewer than
-    # one histogram bin ends with exit 2 and one line, never NaN on stdout or
-    # a traceback
+    # a window with fewer than two samples, a single scan point, an infinite
+    # length, a step that is not positive and finite or gives more samples
+    # than the cap, a NaN or huge spectral parameter, a radius where cosh
+    # overflows, a fractional transform over its node budget, a NaN cut-off,
+    # fewer than one histogram bin, or a point so near a cusp or so high that
+    # its reduction underflows or its translates pass 2^50 ends with exit 2 and
+    # one line, never NaN on stdout, a warning or a traceback
     if argv[0] == "moments":
+        # step 1/512: [1e-5, 2e-5] holds no sample, [1e-3, 2e-3] one
         series = tmp_path / "series.csv"
-        series.write_text("s,value\n0,1\n0.5,1\n1,1\n")
+        series.write_text("s,value\n" + "".join(f"{j / 512!r},1\n" for j in range(513)))
         argv = argv + ["--in", str(series)]
     if argv[0] in ("distribution", "error-term"):
         argv = argv + ["--out", str(tmp_path / "out.csv")]

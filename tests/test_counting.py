@@ -128,6 +128,18 @@ class TestLimitsAndErrors:
         with pytest.raises(MemoryBudgetExceeded):
             list_distances(BallSpec(I, I, 12.0))
 
+    def test_distance_list_peak_memory(self):
+        # 1.2 M points at s = 12: the points are built in place from one repeat
+        # each of k_lo - starts, x0 and y0, so numpy's peak allocation reads
+        # 18 MiB, where index and repeat temporaries of every point peaked at 33 MiB
+        tracemalloc.start()
+        try:
+            list_distances(BallSpec(I, I, 12.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
+
     def test_negative_radius(self):
         with pytest.raises(ValidationError):
             BallSpec(I, I, -1.0)
@@ -184,6 +196,19 @@ def _euclid_lift(c: int, d: int) -> tuple[int, int]:
     return a, (a * d - 1) // c
 
 
+def _height_bound_rows(spec: BallSpec) -> list[tuple[int, int]]:
+    """Coprime bottom rows (c, d), c >= 1, under the guarded height bound |c w + d|^2 <= B."""
+    z, w, guard = spec.z, spec.w, counting._BOUNDARY_GUARD
+    cosh_eff = math.cosh(spec.s) * (1.0 + guard)
+    B = (cosh_eff + math.sqrt(cosh_eff * cosh_eff - 1.0)) * w.y / z.y * (1.0 + guard)
+    rows = []
+    for c in range(1, math.floor(math.sqrt(B) / w.y) + 1):
+        half = math.sqrt(max(B - (c * w.y) ** 2, 0.0))
+        rows += [(c, d) for d in range(math.ceil(-c * w.x - half), math.floor(-c * w.x + half) + 1)
+                 if math.gcd(c, d) == 1]
+    return rows
+
+
 class TestResidueLift:
     @pytest.mark.parametrize("spec", [
         BallSpec(I, I, 4.0),
@@ -191,17 +216,21 @@ class TestResidueLift:
         BallSpec(Point(-0.45, 0.9), Point(-0.1, 2.5), 8.0),
         BallSpec(Point(0.0, 3.0), Point(0.5, math.sqrt(0.75)), 9.0),
     ])
-    def test_matches_per_row_euclid(self, spec, monkeypatch):
-        c, d = counting._enumerate_rows(spec)
+    def test_matches_per_row_euclid(self, spec):
+        # every coprime row lifted by its own Euclid gives the base points of
+        # _orbit_rows, which lifts once per residue class, bit for bit
+        c, d = np.array(_height_bound_rows(spec)).T
         assert np.any(c == 1) and np.any(d < 0)
-        a, b = counting._bezout_tops(c, d)
-        ref = np.array([_euclid_lift(int(ci), int(di)) for ci, di in zip(c, d)]).reshape(-1, 2)
-        assert np.array_equal(a, ref[:, 0]) and np.array_equal(b, ref[:, 1])
+        a, b = np.array([_euclid_lift(int(ci), int(di)) for ci, di in zip(c, d)]).T
         assert np.all(a * d - b * c == 1)
-        x0, y0 = counting._row_geometry(spec, c, d)
-        monkeypatch.setattr(counting, "_bezout_tops", lambda c, d: (ref[:, 0], ref[:, 1]))
-        x0_ref, y0_ref = counting._row_geometry(spec, c, d)
-        assert np.array_equal(x0, x0_ref) and np.array_equal(y0, y0_ref)
+        wc = spec.w.z
+        den = c * wc + d
+        den2 = den.real ** 2 + den.imag ** 2
+        x0 = np.concatenate([[spec.w.x], ((a * wc + b) * den.conjugate()).real / den2])
+        y0 = np.concatenate([[spec.w.y], spec.w.y / den2])
+        got_x0, got_y0 = counting._orbit_rows(spec)
+        ref, got = np.lexsort((y0, x0)), np.lexsort((got_y0, got_x0))
+        assert np.array_equal(x0[ref], got_x0[got]) and np.array_equal(y0[ref], got_y0[got])
 
 
 class TestDistanceDump:
@@ -275,19 +304,16 @@ class TestBoundaryDiagnostics:
 
 class TestChunkedEnumeration:
     def test_row_chunking_is_exact(self):
-        # rows are independent, so counting per disjoint c-chunk and summing
-        # must reproduce the single-pass result exactly
-        from hypcircle.counting import _enumerate_rows, _k_intervals, _row_geometry
+        # rows are independent, so counting per contiguous slice of the rows
+        # (the c=0 row first, then ordered by c) and summing is exact
+        from hypcircle.counting import _k_intervals, _orbit_rows
 
         spec = BallSpec(Point(0.2, 1.3), Point(-0.1, 0.9), 6.0)
-        c, d = _enumerate_rows(spec)
-        # the c=0 row: gamma = T^k, base point w itself
-        _, _, counts_id = _k_intervals(spec, np.array([spec.w.x]), np.array([spec.w.y]), 1e-12)
-        total_chunks = int(counts_id.sum())
-        edges = [0, len(c) // 3, 2 * len(c) // 3, len(c)]
+        x0, y0 = _orbit_rows(spec)
+        edges = [0, len(x0) // 3, 2 * len(x0) // 3, len(x0)]
+        total_chunks = 0
         for lo, hi in zip(edges[:-1], edges[1:]):
-            x0, y0 = _row_geometry(spec, c[lo:hi], d[lo:hi])
-            _, _, counts = _k_intervals(spec, x0, y0, 1e-12)
+            _, _, counts = _k_intervals(spec, x0[lo:hi], y0[lo:hi], 1e-12)
             total_chunks += int(counts.sum())
         assert total_chunks == count_ball(spec)
 
