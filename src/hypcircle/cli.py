@@ -84,6 +84,8 @@ def _read_csv(path) -> SampledSeries:
         vals = np.array([float(r[1]) for r in rows])
     except ValueError as exc:
         raise ValidationError(f"{path}: every row must hold two numbers s,value") from exc
+    if not np.all(np.isfinite(grid)):
+        raise ValidationError(f"{path}: every s must be finite")
     if grid.size < 2:
         raise ValidationError(f"{path}: need at least two samples")
     steps = np.diff(grid)

@@ -2,14 +2,15 @@
 
 count_ball enumerates {gamma in PSL(2,Z) : d(z, gamma w) <= s} in
 O(N + #rows).  An exact height bound leaves an interval of d per c for the
-bottom rows (c,d); the rows are built from their residue classes d mod c, with
-one Euclid per class for the Bezout lift that fixes each row's base orbit
-point.  The other elements with that row differ by integer horizontal
-translations, so each row contributes an integer interval of them.  The rows
-number about pi e^s / Im z, so the centre z is first reduced to the
-fundamental domain: d(z, gamma w) = d(gamma^-1 z, w) leaves the distances
-unchanged.  w is reduced too: its orbit is the same set, and a reduced w keeps
-c below about e^{s/2}.
+bottom rows (c,d), built from their residue classes d mod c with one Euclid
+per class for the Bezout lift that fixes each row's base orbit point; the
+other elements with that row differ by integer translations, an interval of
+them per row.  The rows number about pi e^s / Im z, so z is first reduced to
+the fundamental domain (d(z, gamma w) = d(gamma^-1 z, w)); w is reduced too,
+as its orbit is the same set, which keeps c below about e^{s/2}.  count_ball
+and list_distances share this stage.  It forms the rows, their translation
+intervals and, for list_distances, the points in chunks, straight into
+arrays of their final size.
 
 brute_force_count is an independent validation oracle that scans every
 integer matrix inside an entry bound.
@@ -18,32 +19,18 @@ integer matrix inside an entry bound.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    BoundInsufficient,
-    MemoryBudgetExceeded,
-    RadiusTooLarge,
-    ValidationError,
-)
+from .errors import BoundInsufficient, MemoryBudgetExceeded, RadiusTooLarge, ValidationError
 from .geometry import Point, distance_from_u, pullback
 
-__all__ = [
-    "BallSpec",
-    "DistanceMultiset",
-    "CountDiagnostics",
-    "count_ball",
-    "list_distances",
-    "brute_force_count",
-    "required_entry_bound",
-    "save_distances",
-    "load_distances",
-    "DEFAULT_S_MAX",
-    "DEFAULT_POINT_CAP",
-]
+__all__ = ["BallSpec", "DistanceMultiset", "CountDiagnostics", "count_ball", "list_distances",
+           "brute_force_count", "required_entry_bound", "save_distances", "load_distances",
+           "DEFAULT_S_MAX", "DEFAULT_POINT_CAP"]
 
 # Largest radius the enumeration accepts.
 DEFAULT_S_MAX = 30.0
@@ -52,6 +39,9 @@ DEFAULT_POINT_CAP = 10**8
 # Relative guard on the cosh-comparison deciding boundary membership;
 # orbits in the guard band are counted (the ball is closed) and flagged.
 _BOUNDARY_GUARD = 1e-12
+
+# Rows, or orbit points, the ball stage forms per chunk, so its temporaries stay small.
+_CHUNK_POINTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -81,7 +71,7 @@ class DistanceMultiset:
             raise ValidationError("distances must be finite")
         if vals.size and (vals[0] < 0.0 or vals[-1] > self.s):
             raise ValidationError("distances must lie in [0, s]")
-        if np.any(np.diff(vals) < 0.0):
+        if np.any(vals[1:] < vals[:-1]):
             raise ValidationError("distances must be sorted ascending")
 
     @property
@@ -142,69 +132,78 @@ def _orbit_rows(spec: BallSpec):
         q = r0 // r1
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
     n = (d_top - lead) // c + 1
-    a, c, d = np.repeat(a, n), np.repeat(c, n), np.repeat(lead - (np.cumsum(n) - n) * c, n)
-    d += np.arange(c.size) * c
-    b = (a * d - 1) // c
-    den = c * w.z + d
-    den2 = den.real ** 2 + den.imag ** 2
-    y0 = w.y / den2
-    x0 = ((a * w.z + b) * den.conjugate()).real / den2
-    return np.concatenate([[w.x], x0]), np.concatenate([[w.y], y0])
+    ends = 1 + np.cumsum(n)  # the c=0 row comes first
+    x0, y0 = np.empty(1 + int(n.sum())), np.empty(1 + int(n.sum()))
+    x0[0], y0[0] = w.x, w.y
+    for lo, hi in _chunks(ends):
+        ci, m, first = c[lo:hi], n[lo:hi], ends[lo] - n[lo]
+        ar, cr = np.repeat(a[lo:hi], m), np.repeat(ci, m)
+        d = np.repeat(lead[lo:hi] - (ends[lo:hi] - m - first) * ci, m) + np.arange(cr.size) * cr
+        # gamma0 w = (a w + b) / (c w + d) with b = (a d - 1) / c
+        num = ar * w.z + (ar * d - 1) // cr
+        den = cr * w.z + d
+        num *= np.conjugate(den, out=den)
+        den2 = den.real ** 2 + den.imag ** 2
+        x0[first:first + d.size], y0[first:first + d.size] = num.real / den2, w.y / den2
+    return x0, y0
+
+
+def _chunks(ends: np.ndarray):
+    """Slices [lo, hi) of items, item i ending at running size ends[i], of about _CHUNK_POINTS each."""
+    cuts = np.searchsorted(ends, np.arange(0, ends[-1] if ends.size else 0, _CHUNK_POINTS), side="right")
+    return zip(cuts, np.append(cuts[1:], ends.size))
 
 
 def _k_intervals(spec: BallSpec, x0: np.ndarray, y0: np.ndarray, guard: float):
-    """Integer translation ranges per row: |z - (gamma0 w + k)|^2 <= 4U yz y0."""
+    """First translation k_lo and count per row: |z - (gamma0 w + k)|^2 <= 4U yz y0."""
     z, s = spec.z, spec.s
-    cosh_eff = math.cosh(s) * (1.0 + guard)
-    U_eff = 0.5 * (cosh_eff - 1.0)
+    U_eff = 0.5 * (math.cosh(s) * (1.0 + guard) - 1.0)
     disc = 4.0 * U_eff * z.y * y0 - (z.y - y0) ** 2
-    ok = disc >= 0.0
     r = np.sqrt(np.maximum(disc, 0.0))
-    center = z.x - x0
-    k_lo = np.ceil(center - r).astype(np.int64)
-    k_hi = np.floor(center + r).astype(np.int64)
-    counts = np.where(ok, np.maximum(k_hi - k_lo + 1, 0), 0)
-    return k_lo, k_hi, counts
+    mid = z.x - x0
+    k_lo = np.ceil(mid - r).astype(np.int64)
+    counts = np.where(disc >= 0.0, np.maximum(np.floor(mid + r).astype(np.int64) - k_lo + 1, 0), 0)
+    return k_lo, counts
+
+
+def _ball_rows(spec: BallSpec):
+    """Reduced spec, row base points (x0, y0) and translations (k_lo, counts) in the ball."""
+    spec = replace(spec, z=pullback(spec.z), w=pullback(spec.w))
+    x0, y0 = _orbit_rows(spec)
+    k_lo, counts = np.empty(x0.size, np.int64), np.empty(x0.size, np.int64)
+    for lo in range(0, x0.size, _CHUNK_POINTS):
+        rows = slice(lo, lo + _CHUNK_POINTS)
+        k_lo[rows], counts[rows] = _k_intervals(spec, x0[rows], y0[rows], _BOUNDARY_GUARD)
+    return spec, x0, y0, k_lo, counts
 
 
 def count_ball(spec: BallSpec, with_diagnostics: bool = False):
     """Exact number of gamma in PSL(2,Z) with d(z, gamma w) <= s."""
-    spec = replace(spec, z=pullback(spec.z), w=pullback(spec.w))
-    x0, y0 = _orbit_rows(spec)
-    _, _, counts = _k_intervals(spec, x0, y0, _BOUNDARY_GUARD)
+    spec, x0, y0, _, counts = _ball_rows(spec)
     total = int(counts.sum())
     if not with_diagnostics:
         return total
-    # orbit points within the +/- guard band of the boundary are counted
-    # (closed ball) and reported here
-    _, _, counts_narrow = _k_intervals(spec, x0, y0, -_BOUNDARY_GUARD)
-    ties = total - int(counts_narrow.sum())
+    # orbit points within the +/- guard band are counted (closed ball) and reported here
+    ties = total - int(_k_intervals(spec, x0, y0, -_BOUNDARY_GUARD)[1].sum())
     return total, CountDiagnostics(rows_scanned=int(x0.size), boundary_ties=ties)
 
 
 def list_distances(spec: BallSpec) -> DistanceMultiset:
     """All orbit distances d(z, gamma w) <= s, sorted ascending with multiplicity."""
-    spec = replace(spec, z=pullback(spec.z), w=pullback(spec.w))
-    x0, y0 = _orbit_rows(spec)
-    k_lo, _, counts = _k_intervals(spec, x0, y0, _BOUNDARY_GUARD)
-    total = int(counts.sum())
+    spec, x0, y0, k_lo, counts = _ball_rows(spec)
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
     if total > DEFAULT_POINT_CAP:
         raise MemoryBudgetExceeded(f"{total} orbit points exceed cap {DEFAULT_POINT_CAP}")
-    # point i of row r is gamma0 w + k_lo[r] + i - (row r's first i), built in place
-    k = np.repeat(k_lo - (np.cumsum(counts) - counts), counts)
-    k += np.arange(total)
-    u = spec.z.x - (np.repeat(x0, counts) + k)
-    del k
-    u *= u
-    y = np.repeat(y0, counts)
-    dy = spec.z.y - y
-    dy *= dy
-    u += dy
-    del dy
-    y *= 4.0 * spec.z.y
-    u /= y
-    del y
-    dist = distance_from_u(u)
+    dist = np.empty(total)
+    for lo, hi in _chunks(ends):
+        first, n = ends[lo] - counts[lo], counts[lo:hi]
+        # point i of row r is gamma0 w + k_lo[r] + i - (row r's first i)
+        k = np.repeat(k_lo[lo:hi] - (ends[lo:hi] - n - first), n) + np.arange(n.sum())
+        dx = spec.z.x - (np.repeat(x0[lo:hi], n) + k)
+        y = np.repeat(y0[lo:hi], n)
+        u = (dx * dx + (spec.z.y - y) ** 2) / (4.0 * spec.z.y * y)
+        dist[first:first + k.size] = distance_from_u(u)
     # guard-band points sit a hair above s; the closed-ball convention keeps them
     np.minimum(dist, spec.s, out=dist)
     dist.sort()
@@ -244,8 +243,7 @@ def brute_force_count(spec: BallSpec, entry_bound: int) -> int:
     total = 0
     bc_range = np.arange(-E, E + 1, dtype=np.int64)
     bb, cc = np.meshgrid(bc_range, bc_range, indexing="ij")
-    bb = bb.ravel()
-    cc = cc.ravel()
+    bb, cc = bb.ravel(), cc.ravel()
     # a = 0: -bc = 1, canonical row has c > 0, d is a free entry
     d_free = np.arange(-E, E + 1, dtype=np.int64)
     gw = (0 * wc - 1) / (1 * wc + d_free)
@@ -277,7 +275,7 @@ def _cosh_dist(zc: complex, wc: np.ndarray) -> np.ndarray:
 def save_distances(path, multiset: DistanceMultiset):
     with open(path, "wb") as fh:
         fh.write(struct.pack("<d", multiset.s))
-        fh.write(multiset.values.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(multiset.values, dtype="<f8").data)
 
 
 def load_distances(path, s: float) -> DistanceMultiset:
@@ -287,13 +285,14 @@ def load_distances(path, s: float) -> DistanceMultiset:
     its u64 count reads as a subnormal radius.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 8 or len(raw) % 8:
-        raise ValidationError(f"distance file {path} holds {len(raw)} bytes, not a positive multiple of 8")
-    (radius,) = struct.unpack("<d", raw[:8])
-    if not radius >= s:
-        raise ValidationError(f"distance file {path} was written at radius {radius:g}, below {s:g}")
+        size = os.fstat(fh.fileno()).st_size
+        if size < 8 or size % 8:
+            raise ValidationError(f"distance file {path} holds {size} bytes, not a positive multiple of 8")
+        (radius,) = struct.unpack("<d", fh.read(8))
+        if not radius >= s:
+            raise ValidationError(f"distance file {path} was written at radius {radius:g}, below {s:g}")
+        values = np.fromfile(fh, dtype="<f8")
     # checks every stored value (finite, in [0, radius], sorted) before the cut
-    stored = DistanceMultiset(values=np.frombuffer(raw[8:], dtype="<f8").copy(), s=radius)
+    stored = DistanceMultiset(values=values, s=radius)
     keep = int(np.searchsorted(stored.values, s, side="right"))
     return DistanceMultiset(values=stored.values[:keep], s=s)

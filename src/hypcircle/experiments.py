@@ -91,6 +91,8 @@ def _grid_size(s_max: float, step: float) -> int:
     """Samples k*step in [0, s_max]; MemoryBudgetExceeded past DEFAULT_POINT_CAP."""
     if not 0.0 < step < math.inf:
         raise ValidationError(f"step must be positive and finite, got {step}")
+    if not math.isfinite(s_max):
+        raise ValidationError(f"radius {s_max} is not finite")
     span = s_max / step + 1e-9
     if not span < DEFAULT_POINT_CAP:
         raise MemoryBudgetExceeded(f"step {step} on [0, {s_max}] exceeds {DEFAULT_POINT_CAP} samples")
@@ -133,21 +135,17 @@ def sample_e_alpha(z: Point, w: Point, order, s_max: float,
     _grid_size(s_max, step)
     if distances is None:
         distances = list_distances(BallSpec(z, w, s_max))
+    grid_path = frac_integrate(sample_error(z, w, s_max, step, distances=distances).series, alpha)
     if method == "grid":
-        base = sample_error(z, w, s_max, step, distances=distances)
-        series = frac_integrate(base.series, alpha)
-        return ErrorSeries(series=series, alpha=alpha)
+        return ErrorSeries(series=grid_path, alpha=alpha)
     vals = exact_e_alpha(distances, alpha, s_max, step)
-    series = SampledSeries(0.0, step, vals)
-    g = sample_e_alpha(z, w, alpha, s_max, step, "grid", distances=distances)
     idx = np.linspace(0, vals.size - 1, _CROSSCHECK_POINTS).astype(int)
-    diff = float(np.max(np.abs(g.values[idx] - vals[idx])))
+    diff = float(np.max(np.abs(grid_path.values[idx] - vals[idx])))
     budget = method_budget(alpha, step)
     if diff > 10.0 * budget:
-        warnings.warn(
-            f"grid/exact fractional error terms differ by {diff:.3e} "
-            f"(budget {budget:.3e})", MethodDisagreement)
-    return ErrorSeries(series=series, alpha=alpha)
+        warnings.warn(f"grid/exact fractional error terms differ by {diff:.3e} "
+                      f"(budget {budget:.3e})", MethodDisagreement)
+    return ErrorSeries(series=SampledSeries(0.0, step, vals), alpha=alpha)
 
 
 _CHEB_DEGREE = 18  # of the interpolant of L on every cell past the first
@@ -211,9 +209,9 @@ def exact_e_alpha(distances: DistanceMultiset, alpha: float, s_max: float,
     return np.exp(-0.5 * grid) * acc / math.gamma(alpha) - main
 
 
-# Measured max |grid - exact| over s <= 10 at step 1/512, z = w = i:
-# 0.125 (a=0.1), 0.111 (0.25), 0.035 (0.5), 0.025 (0.75), 0.026 (1.0);
-# pinned at ~2x measured.
+# Max |grid - exact| at step 1/512, z = w = i, s <= 10, for a = 0.1, 0.25, 0.5, 0.75, 1:
+# 0.125, 0.111, 0.035, 0.025, 0.026 over the 129 samples test_grid_vs_exact_budget reads,
+# pinned at ~2x; all 5,121 samples give 0.403, 0.328, 0.095, 0.030, 0.027, past it for a <= 0.5.
 _METHOD_BUDGET_TABLE = ((0.1, 0.25), (0.25, 0.25), (0.5, 0.08),
                         (0.75, 0.06), (1.0, 0.06))
 
@@ -297,10 +295,9 @@ def variance_report(err: ErrorSeries, amplitudes, order, T: float,
     if math.isnan(t_max):
         raise ValidationError("spectral cut-off t_max is NaN")
     emp = window_variance(err, T, window=window)
-    t_cap = t_max if t_max < math.inf else max((a.t for a in amplitudes), default=1.0)
-    spectral_sum = spectral_variance(amplitudes, order, t_cap)
+    spectral_sum = spectral_variance(amplitudes, order, t_max)
     if spectral_sum.terms == 0:
-        raise ValidationError(f"no spectral parameter lies in (0, {t_cap}]")
+        raise ValidationError(f"no spectral parameter lies in (0, {t_max}]")
     ratio = emp / spectral_sum.value if spectral_sum.value > 0 else math.inf
     return VarianceReport(empirical=emp, spectral_value=spectral_sum.value,
                           spectral_tail=spectral_sum.tail_bound, ratio=ratio)
@@ -479,9 +476,10 @@ def hybrid_run(z: Point, w: Point, schedule: str, T_values, step: float = DEFAUL
     _grid_size(s_need, step)
     if distances is None:
         distances = list_distances(BallSpec(z, w, s_need))
+    base = sample_error(z, w, s_need, step, distances=distances).series
     out = []
     for T, a, cond in zip(T_values, alphas, conds):
-        err = sample_e_alpha(z, w, a, s_need, step=step, distances=distances)
+        err = ErrorSeries(series=frac_integrate(base, a), alpha=a)
         var = window_variance(err, T, window="0T")
         out.append(HybridPoint(T=T, alpha=a, condition=cond, variance=var))
     return out

@@ -71,8 +71,8 @@ def spectral_variance(amplitudes, order, t_max: float) -> VarianceSum:
         tail = 2 pi coth(pi t_max) * 2 C_b / (1 + 2a) * t_max^{-1-2a}.
 
     It is an extrapolation report, not a proof; on the bundled data the
-    internal partial sums stay well inside it.  An empty amplitude list
-    carries no growth information, so the tail is reported as infinity.
+    internal partial sums stay well inside it.  t_max = inf takes the tail past
+    the top form; an empty list, with no growth to read, reports an infinite tail.
     """
     alpha = _as_alpha(order)
     amps = list(amplitudes)
@@ -81,7 +81,7 @@ def spectral_variance(amplitudes, order, t_max: float) -> VarianceSum:
     if not amps:
         return VarianceSum(value=0.0, tail_bound=math.inf, terms=0)
     c_b = weyl_b_constant(amps)
-    t_ref = max(t_max, 1.0)
+    t_ref = max(t_max if t_max < math.inf else max(a.t for a in amps), 1.0)
     tail = (2.0 * math.pi / math.tanh(math.pi * t_ref)
             * 2.0 * c_b / (1.0 + 2.0 * alpha) * t_ref ** (-1.0 - 2.0 * alpha))
     return VarianceSum(value=float(value), tail_bound=float(tail), terms=len(inside))

@@ -346,6 +346,29 @@ def test_empty_window_rejected(capsys, tmp_path, argv):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["error-term", "--smax", "nan"], "radius nan is not finite"),
+    (["error-term", "--smax", "inf", "--alpha", "0.5"], "radius inf is not finite"),
+    (["variance", "--alpha", "0.5", "--T", "nan"], "radius nan is not finite"),
+    (["scan-pointwise", "--alpha", "0.5", "--smax", "nan"], "radius nan is not finite"),
+    (["distribution", "--mode", "real", "--alpha", "0.5", "--T", "nan"], "radius nan is not finite"),
+    (["moments", "--T", "1"], "every s must be finite"),
+], ids=lambda v: "_".join(v).replace("--", "") if isinstance(v, list) else None)
+def test_non_finite_number_named(capsys, tmp_path, argv, message):
+    # a non-finite radius or grid point ends with exit 2 and one line naming it,
+    # not a sample budget on [0, nan] or numpy's RuntimeWarning before the error
+    if argv[0] == "moments":
+        series = tmp_path / "series.csv"
+        series.write_text("s,value\n0,1\n0.5,1\ninf,1\n")
+        argv = argv + ["--in", str(series)]
+    if argv[0] in ("distribution", "error-term"):
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+    assert err.strip().endswith(message)
+
+
 @pytest.mark.parametrize("command", [
     ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "50"],
     ["variance", "--alpha", "0.5", "--T", "3"],

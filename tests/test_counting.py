@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -129,9 +130,8 @@ class TestLimitsAndErrors:
             list_distances(BallSpec(I, I, 12.0))
 
     def test_distance_list_peak_memory(self):
-        # 1.2 M points at s = 12: the points are built in place from one repeat
-        # each of k_lo - starts, x0 and y0, so numpy's peak allocation reads
-        # 18 MiB, where index and repeat temporaries of every point peaked at 33 MiB
+        # 1.2 M points at s = 12, formed in chunks of rows straight into the
+        # distance array: numpy's peak allocation reads 12.7 MiB
         tracemalloc.start()
         try:
             list_distances(BallSpec(I, I, 12.0))
@@ -139,6 +139,48 @@ class TestLimitsAndErrors:
         finally:
             tracemalloc.stop()
         assert peak < 24 * 2 ** 20
+
+    def test_count_peak_memory(self):
+        # 155 k rows at s = 12, formed in chunks straight into the row arrays:
+        # numpy's peak allocation reads 10.2 MiB; formed whole-ball, with the
+        # integer row arrays kept through the Mobius step, it read 15.4 MiB
+        tracemalloc.start()
+        try:
+            count_ball(BallSpec(I, I, 12.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * 2 ** 20
+
+    def test_row_stage_peak_memory(self):
+        # 1.15 M rows at s = 14: rows and translation intervals are formed in
+        # chunks straight into four row arrays of 8.8 MiB, so numpy's peak
+        # allocation reads 40 MiB; whole-ball row temporaries made it 78.4 MiB
+        tracemalloc.start()
+        try:
+            count_ball(BallSpec(I, I, 14.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2 ** 20
+
+    def test_cache_round_trip_peak_memory(self, tmp_path):
+        # 1.2 M distances (9.3 MiB) at s = 12: save writes the array's own
+        # buffer and load reads the file straight into one array, so each
+        # peaks near one array; a bytes copy of the file doubled both
+        ms = list_distances(BallSpec(I, I, 12.0))
+        path = tmp_path / "cache.bin"
+        tracemalloc.start()
+        try:
+            save_distances(path, ms)
+            saved = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            load_distances(path, 12.0)
+            loaded = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert saved < 0.25 * ms.values.nbytes
+        assert loaded < 1.5 * ms.values.nbytes
 
     def test_negative_radius(self):
         with pytest.raises(ValidationError):
@@ -313,9 +355,20 @@ class TestChunkedEnumeration:
         edges = [0, len(x0) // 3, 2 * len(x0) // 3, len(x0)]
         total_chunks = 0
         for lo, hi in zip(edges[:-1], edges[1:]):
-            _, _, counts = _k_intervals(spec, x0[lo:hi], y0[lo:hi], 1e-12)
+            _, counts = _k_intervals(spec, x0[lo:hi], y0[lo:hi], 1e-12)
             total_chunks += int(counts.sum())
         assert total_chunks == count_ball(spec)
+
+    @pytest.mark.parametrize("spec", [BallSpec(I, I, 8.0),
+                                      BallSpec(Point(0.2, 1.14), Point(-0.3, 1.1), 8.0)])
+    def test_point_chunks_bit_identical(self, monkeypatch, spec):
+        # chunk sizes 1 and 7 leave chunks empty (several cuts in one row) and of
+        # one row; any chunking forms the same doubles in the same order
+        digest = hashlib.sha256(list_distances(spec).values.tobytes()).hexdigest()
+        for size in (1, 7, 4096):
+            monkeypatch.setattr(counting, "_CHUNK_POINTS", size)
+            values = list_distances(spec).values
+            assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
     def test_prefix_counts_consistent(self):
         # N at intermediate radii from one enumeration equals direct counts

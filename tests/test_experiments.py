@@ -426,6 +426,21 @@ class TestHybrid:
             assert p.variance <= constants.HYBRID_VARIANCE_C
         assert pts[1].condition <= 0.02
 
+    def test_one_sample_of_e(self, monkeypatch, distances_14):
+        # e is sampled once and integrated per order, as sample_e_alpha would
+        calls, sample = [], experiments.sample_error
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "sample_error", counted)
+        pts = hybrid_run(I, I, "inv-sqrt", [6.0, 9.0, 12.0], distances=distances_14)
+        assert len(calls) == 1
+        for p in pts:
+            err = sample_e_alpha(I, I, p.alpha, 12.0, distances=distances_14)
+            assert p.variance == window_variance(err, p.T, window="0T")
+
     def test_inv_T_schedule_rejected(self, distances_14):
         with pytest.raises(ScheduleViolation):
             hybrid_run(I, I, "inv-T", [6.0, 9.0, 12.0], distances=distances_14)

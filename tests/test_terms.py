@@ -96,6 +96,14 @@ class TestSpectralVariance:
         expect = float(2.0 * mp.pi * abs(g) ** 2 / (10.0 * abs(g32) ** 2))
         assert res.value == pytest.approx(expect, rel=1e-11)
 
+    def test_unlimited_cutoff_tail_at_top_form(self, amps_ii):
+        # t_max = inf sums every form; its tail starts past the top one, where
+        # inf^(-1-2a) read 0.0 against 0.0529 at t_top = 26.447 for a = 0.25
+        t_top = max(a.t for a in amps_ii)
+        unlimited = spectral_variance(amps_ii, 0.25, math.inf)
+        assert unlimited == spectral_variance(amps_ii, 0.25, t_top)
+        assert unlimited.terms == 24 and unlimited.tail_bound > 0.05
+
     def test_monotone_in_alpha(self, amps_ii):
         v = [spectral_variance(amps_ii, a, 60.0).value for a in (0.5, 0.25, 0.1)]
         assert v[0] <= v[1] <= v[2]
