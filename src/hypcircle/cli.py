@@ -59,6 +59,20 @@ def _point(text: str) -> Point:
         raise ValidationError(f"bad point {text!r}, expected x,y") from exc
 
 
+def _glue_points(argv: list[str]) -> list[str]:
+    """argv with `--z -0.3,1.1` written as `--z=-0.3,1.1`.
+
+    argparse reads a value led by '-' that is not a plain number as an option.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--z", "--w") and tok.startswith("-") and "," in tok:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def _floats(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",")]
@@ -299,7 +313,7 @@ def _fail(message: str, code: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_points(sys.argv[1:] if argv is None else argv))
         args.func(args)
         return 0
     except NonConvergence as exc:

@@ -7,10 +7,10 @@ per class for the Bezout lift that fixes each row's base orbit point; the
 other elements with that row differ by integer translations, an interval of
 them per row.  The rows number about pi e^s / Im z, so z is first reduced to
 the fundamental domain (d(z, gamma w) = d(gamma^-1 z, w)); w is reduced too,
-as its orbit is the same set, which keeps c below about e^{s/2}.  count_ball
-and list_distances share this stage.  It forms the rows, their translation
-intervals and, for list_distances, the points in chunks, straight into
-arrays of their final size.
+as its orbit is the same set, which keeps c below about e^{s/2}.  One
+generator streams the rows and their translation intervals in c-chunks, so
+count_ball holds no array the size of the ball; list_distances sizes its
+distance list by count_ball, then fills it from a second pass.
 
 brute_force_count is an independent validation oracle that scans every
 integer matrix inside an entry bound.
@@ -40,7 +40,7 @@ DEFAULT_POINT_CAP = 10**8
 # orbits in the guard band are counted (the ball is closed) and flagged.
 _BOUNDARY_GUARD = 1e-12
 
-# Rows, or orbit points, the ball stage forms per chunk, so its temporaries stay small.
+# Candidate rows, or orbit points, the ball stage forms per chunk, so its temporaries stay small.
 _CHUNK_POINTS = 2 ** 16
 
 
@@ -87,14 +87,17 @@ class CountDiagnostics:
     boundary_ties: int
 
 
-def _orbit_rows(spec: BallSpec):
-    """Base orbit point (x0, y0) = gamma0(w) of the c=0 row, then of every row (c, d)
-    with Im(gamma0 w) >= Im(z) e^{-s}, i.e. |c w + d|^2 <= e^s Im(w)/Im(z).
+def _row_chunks(spec: BallSpec):
+    """Rows of the ball in c-chunks of about _CHUNK_POINTS candidate rows: yields
+    (x0, y0, k_lo, counts), the base orbit points (x0, y0) = gamma0(w) of the
+    c=0 row, then of the rows (c, d) with Im(gamma0 w) >= Im(z) e^{-s}, i.e.
+    |c w + d|^2 <= e^s Im(w)/Im(z), ordered by c; and each row's translations
+    k_lo .. k_lo + counts - 1 in the ball.
 
     Per c, the d form an interval whose first min(length, c) values lead the
     residue classes d mod c.  The Euclid on (d, c) first steps to (c, d mod c)
     with coefficients (0, 1), so gcd and Bezout lift a*d - b*c = 1 run once per
-    class; each class expands to its rows d = lead + j*c, ordered by c.
+    class; each class expands to its rows d = lead + j*c.
     """
     z, w, s = spec.z, spec.w, spec.s
     if s > DEFAULT_S_MAX:
@@ -115,41 +118,41 @@ def _orbit_rows(spec: BallSpec):
     total = int(n_per_c.sum())
     if total > DEFAULT_POINT_CAP:
         raise MemoryBudgetExceeded(f"{total} candidate rows exceed cap {DEFAULT_POINT_CAP}")
-    n_cls = np.minimum(n_per_c, cs)
-    c = np.repeat(cs, n_cls)
-    lead = np.arange(c.size) + np.repeat(d_lo - (np.cumsum(n_cls) - n_cls), n_cls)
-    d_top = np.repeat(d_hi, n_cls)
-    cop = np.gcd(c, lead) == 1
-    c, lead, d_top = c[cop], lead[cop], d_top[cop]
-    # extended Euclid on (c, lead mod c), tracking the coefficient of lead
-    a = np.empty_like(c)
-    live, r0, r1 = np.arange(c.size), c, lead % c
-    s0, s1 = np.zeros_like(c), np.ones_like(c)
-    while live.size:
-        done = r1 == 0
-        a[live[done]] = s0[done]  # remainders stay >= 0, so the gcd is +1
-        live, r0, r1, s0, s1 = (v[~done] for v in (live, r0, r1, s0, s1))
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    n = (d_top - lead) // c + 1
-    ends = 1 + np.cumsum(n)  # the c=0 row comes first
-    x0, y0 = np.empty(1 + int(n.sum())), np.empty(1 + int(n.sum()))
-    x0[0], y0[0] = w.x, w.y
-    for lo, hi in _chunks(ends):
-        ci, m, first = c[lo:hi], n[lo:hi], ends[lo] - n[lo]
-        ar, cr = np.repeat(a[lo:hi], m), np.repeat(ci, m)
-        d = np.repeat(lead[lo:hi] - (ends[lo:hi] - m - first) * ci, m) + np.arange(cr.size) * cr
+    x0, y0 = np.array([w.x]), np.array([w.y])
+    yield x0, y0, *_k_intervals(spec, x0, y0, _BOUNDARY_GUARD)
+    for lo, hi in _chunks(n_per_c):
+        n_cls = np.minimum(n_per_c[lo:hi], cs[lo:hi])
+        c = np.repeat(cs[lo:hi], n_cls)
+        lead = np.arange(c.size) + np.repeat(d_lo[lo:hi] - (np.cumsum(n_cls) - n_cls), n_cls)
+        d_top = np.repeat(d_hi[lo:hi], n_cls)
+        cop = np.gcd(c, lead) == 1
+        c, lead, d_top = c[cop], lead[cop], d_top[cop]
+        # extended Euclid on (c, lead mod c), tracking the coefficient of lead
+        a = np.empty_like(c)
+        live, r0, r1 = np.arange(c.size), c, lead % c
+        s0, s1 = np.zeros_like(c), np.ones_like(c)
+        while live.size:
+            done = r1 == 0
+            a[live[done]] = s0[done]  # remainders stay >= 0, so the gcd is +1
+            live, r0, r1, s0, s1 = (v[~done] for v in (live, r0, r1, s0, s1))
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        n = (d_top - lead) // c + 1
+        # row i of the chunk, in a class whose rows start at i0, has d = lead + (i - i0) c
+        ar, cr = np.repeat(a, n), np.repeat(c, n)
+        d = np.repeat(lead - (np.cumsum(n) - n) * c, n) + np.arange(cr.size) * cr
         # gamma0 w = (a w + b) / (c w + d) with b = (a d - 1) / c
         num = ar * w.z + (ar * d - 1) // cr
         den = cr * w.z + d
         num *= np.conjugate(den, out=den)
         den2 = den.real ** 2 + den.imag ** 2
-        x0[first:first + d.size], y0[first:first + d.size] = num.real / den2, w.y / den2
-    return x0, y0
+        x0, y0 = num.real / den2, w.y / den2
+        yield x0, y0, *_k_intervals(spec, x0, y0, _BOUNDARY_GUARD)
 
 
-def _chunks(ends: np.ndarray):
-    """Slices [lo, hi) of items, item i ending at running size ends[i], of about _CHUNK_POINTS each."""
+def _chunks(sizes: np.ndarray):
+    """Slices [lo, hi) of items of the given sizes, of about _CHUNK_POINTS in all each."""
+    ends = np.cumsum(sizes)
     cuts = np.searchsorted(ends, np.arange(0, ends[-1] if ends.size else 0, _CHUNK_POINTS), side="right")
     return zip(cuts, np.append(cuts[1:], ends.size))
 
@@ -166,44 +169,39 @@ def _k_intervals(spec: BallSpec, x0: np.ndarray, y0: np.ndarray, guard: float):
     return k_lo, counts
 
 
-def _ball_rows(spec: BallSpec):
-    """Reduced spec, row base points (x0, y0) and translations (k_lo, counts) in the ball."""
-    spec = replace(spec, z=pullback(spec.z), w=pullback(spec.w))
-    x0, y0 = _orbit_rows(spec)
-    k_lo, counts = np.empty(x0.size, np.int64), np.empty(x0.size, np.int64)
-    for lo in range(0, x0.size, _CHUNK_POINTS):
-        rows = slice(lo, lo + _CHUNK_POINTS)
-        k_lo[rows], counts[rows] = _k_intervals(spec, x0[rows], y0[rows], _BOUNDARY_GUARD)
-    return spec, x0, y0, k_lo, counts
-
-
 def count_ball(spec: BallSpec, with_diagnostics: bool = False):
     """Exact number of gamma in PSL(2,Z) with d(z, gamma w) <= s."""
-    spec, x0, y0, _, counts = _ball_rows(spec)
-    total = int(counts.sum())
+    spec = replace(spec, z=pullback(spec.z), w=pullback(spec.w))
+    total = rows = ties = 0
+    for x0, y0, _, counts in _row_chunks(spec):
+        n = int(counts.sum())
+        total += n
+        if with_diagnostics:
+            # orbit points within the +/- guard band are counted (closed ball) and reported here
+            rows += x0.size
+            ties += n - int(_k_intervals(spec, x0, y0, -_BOUNDARY_GUARD)[1].sum())
     if not with_diagnostics:
         return total
-    # orbit points within the +/- guard band are counted (closed ball) and reported here
-    ties = total - int(_k_intervals(spec, x0, y0, -_BOUNDARY_GUARD)[1].sum())
-    return total, CountDiagnostics(rows_scanned=int(x0.size), boundary_ties=ties)
+    return total, CountDiagnostics(rows_scanned=rows, boundary_ties=ties)
 
 
 def list_distances(spec: BallSpec) -> DistanceMultiset:
     """All orbit distances d(z, gamma w) <= s, sorted ascending with multiplicity."""
-    spec, x0, y0, k_lo, counts = _ball_rows(spec)
-    ends = np.cumsum(counts)
-    total = int(ends[-1])
+    spec = replace(spec, z=pullback(spec.z), w=pullback(spec.w))
+    total = count_ball(spec)  # sizes the list, so the point cap holds before it is allocated
     if total > DEFAULT_POINT_CAP:
         raise MemoryBudgetExceeded(f"{total} orbit points exceed cap {DEFAULT_POINT_CAP}")
-    dist = np.empty(total)
-    for lo, hi in _chunks(ends):
-        first, n = ends[lo] - counts[lo], counts[lo:hi]
-        # point i of row r is gamma0 w + k_lo[r] + i - (row r's first i)
-        k = np.repeat(k_lo[lo:hi] - (ends[lo:hi] - n - first), n) + np.arange(n.sum())
-        dx = spec.z.x - (np.repeat(x0[lo:hi], n) + k)
-        y = np.repeat(y0[lo:hi], n)
-        u = (dx * dx + (spec.z.y - y) ** 2) / (4.0 * spec.z.y * y)
-        dist[first:first + k.size] = distance_from_u(u)
+    z, dist, at = spec.z, np.empty(total), 0
+    for x0, y0, k_lo, counts in _row_chunks(spec):
+        for lo, hi in _chunks(counts):
+            n = counts[lo:hi]
+            # point i of row r is gamma0 w + k_lo[r] + i - (row r's first i)
+            k = np.repeat(k_lo[lo:hi] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+            dx = z.x - (np.repeat(x0[lo:hi], n) + k)
+            y = np.repeat(y0[lo:hi], n)
+            u = (dx * dx + (z.y - y) ** 2) / (4.0 * z.y * y)
+            dist[at:at + k.size] = distance_from_u(u)
+            at += k.size
     # guard-band points sit a hair above s; the closed-ball convention keeps them
     np.minimum(dist, spec.s, out=dist)
     dist.sort()

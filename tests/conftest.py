@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from hypcircle.counting import BallSpec, list_distances
@@ -18,6 +20,22 @@ def _mobius(g, p: Point) -> Point:
     x, y = p.x, p.y
     denom = (c * x + d) ** 2 + (c * y) ** 2
     return Point(((a * x + b) * (c * x + d) + a * c * y * y) / denom, y / denom)
+
+
+def _numpy_peak(fn) -> int:
+    """Peak bytes that Python and numpy allocate while fn() runs (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def numpy_peak():
+    """The peak allocation of a call, for memory bounds."""
+    return _numpy_peak
 
 
 @pytest.fixture(scope="session")

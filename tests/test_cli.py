@@ -96,6 +96,22 @@ class TestCount:
         assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--z", "-0.3,1.1", "--s", "3"),
+    ("count", "--z", "0.2,1.14", "--w", "-0.3,1.1", "--s", "5"),
+    ("variance", "--w", "-0.1,0.9", "--z", "-0.2,1.3", "--alpha", "0.5", "--T", "3"),
+    ("scan-pointwise", "--z", "-0.3,1.1", "--alpha", "0.75", "--smax", "9"),
+    ("hybrid", "--w", "-0.3,1.1", "--Ts", "6,9"),
+])
+def test_spaced_negative_point(capsys, argv):
+    # argparse took '-0.3,1.1' for an option and exited 2 with "expected one
+    # argument"; the spaced form now reads as the '=' form does
+    glued = " ".join(argv).replace("--z ", "--z=").replace("--w ", "--w=").split()
+    spaced = run(capsys, *argv)
+    assert spaced[0] == 0, spaced[2]
+    assert spaced == run(capsys, *glued)
+
+
 class TestErrorTerm:
     def test_csv_format(self, capsys, tmp_path):
         out_path = tmp_path / "e.csv"

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,56 +128,40 @@ class TestLimitsAndErrors:
         with pytest.raises(MemoryBudgetExceeded):
             list_distances(BallSpec(I, I, 12.0))
 
-    def test_distance_list_peak_memory(self):
-        # 1.2 M points at s = 12, formed in chunks of rows straight into the
-        # distance array: numpy's peak allocation reads 12.7 MiB
-        tracemalloc.start()
-        try:
-            list_distances(BallSpec(I, I, 12.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 * 2 ** 20
+    def test_distance_list_peak_memory(self, numpy_peak):
+        # 488,114 points (3.7 MiB) at s = 12: a counting pass sizes the distance
+        # array, and the points are formed in chunks of about 2^16 straight
+        # into it: numpy's peak allocation reads 12.3 MiB
+        assert numpy_peak(lambda: list_distances(BallSpec(I, I, 12.0))) < 24 * 2 ** 20
 
-    def test_count_peak_memory(self):
-        # 155 k rows at s = 12, formed in chunks straight into the row arrays:
-        # numpy's peak allocation reads 10.2 MiB; formed whole-ball, with the
-        # integer row arrays kept through the Mobius step, it read 15.4 MiB
-        tracemalloc.start()
-        try:
-            count_ball(BallSpec(I, I, 12.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 13 * 2 ** 20
+    def test_count_peak_memory(self, numpy_peak):
+        # 155 k rows at s = 12, streamed in c-chunks: numpy's peak allocation
+        # reads 6.7 MiB; with whole-ball row arrays it read 10.2 MiB, and
+        # 15.4 MiB with the integer row arrays kept through the Mobius step
+        assert numpy_peak(lambda: count_ball(BallSpec(I, I, 12.0))) < 13 * 2 ** 20
 
-    def test_row_stage_peak_memory(self):
-        # 1.15 M rows at s = 14: rows and translation intervals are formed in
-        # chunks straight into four row arrays of 8.8 MiB, so numpy's peak
-        # allocation reads 40 MiB; whole-ball row temporaries made it 78.4 MiB
-        tracemalloc.start()
-        try:
-            count_ball(BallSpec(I, I, 14.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 48 * 2 ** 20
+    def test_row_stage_peak_memory(self, numpy_peak):
+        # 1.15 M rows at s = 14, streamed in c-chunks of about 2^16 candidate
+        # rows: numpy's peak allocation reads 8.3 MiB; four whole-ball row
+        # arrays of 8.8 MiB made it 40 MiB, whole-ball row temporaries 78.4 MiB
+        assert numpy_peak(lambda: count_ball(BallSpec(I, I, 14.0))) < 48 * 2 ** 20
 
-    def test_cache_round_trip_peak_memory(self, tmp_path):
-        # 1.2 M distances (9.3 MiB) at s = 12: save writes the array's own
+    @pytest.mark.parametrize("with_diagnostics", [False, True])
+    def test_streamed_count_peak_memory(self, numpy_peak, with_diagnostics):
+        # no array the size of the ball: 8.3 MiB at s = 14 either way, where
+        # the whole-ball row arrays read 40 MiB, and 88.7 MiB with a second
+        # whole-ball pass for the boundary ties
+        spec = BallSpec(I, I, 14.0)
+        assert numpy_peak(lambda: count_ball(spec, with_diagnostics)) < 16 * 2 ** 20
+
+    def test_cache_round_trip_peak_memory(self, tmp_path, numpy_peak):
+        # 488,114 distances (3.7 MiB) at s = 12: save writes the array's own
         # buffer and load reads the file straight into one array, so each
         # peaks near one array; a bytes copy of the file doubled both
         ms = list_distances(BallSpec(I, I, 12.0))
         path = tmp_path / "cache.bin"
-        tracemalloc.start()
-        try:
-            save_distances(path, ms)
-            saved = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            load_distances(path, 12.0)
-            loaded = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        saved = numpy_peak(lambda: save_distances(path, ms))
+        loaded = numpy_peak(lambda: load_distances(path, 12.0))
         assert saved < 0.25 * ms.values.nbytes
         assert loaded < 1.5 * ms.values.nbytes
 
@@ -205,19 +188,14 @@ class TestReducedCentre:
 class TestReducedOrbitPoint:
     # the orbit of w is the orbit of its image in the fundamental domain
 
-    def test_low_orbit_point_counts_as_its_image(self):
+    def test_low_orbit_point_counts_as_its_image(self, numpy_peak):
         # the rows are the same cosets either way, but unreduced, (0.3, 0.001)
         # has c up to 4,243 at s = 10 and a residue table of 9e6 entries (72 MB;
         # 5e8 entries at s = 14); its image (0.3, 10) has c <= 42
         w, z = Point(0.3, 1e-3), Point(0.1, 1.2)
-        tracemalloc.start()
-        try:
-            n, diag = count_ball(BallSpec(z, w, 10.0), with_diagnostics=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2 ** 20
-        assert (n, diag) == count_ball(BallSpec(z, pullback(w), 10.0), with_diagnostics=True)
+        low, image = BallSpec(z, w, 10.0), BallSpec(z, pullback(w), 10.0)
+        assert numpy_peak(lambda: count_ball(low, with_diagnostics=True)) < 16 * 2 ** 20
+        assert count_ball(low, with_diagnostics=True) == count_ball(image, with_diagnostics=True)
         spec = BallSpec(z, w, 3.0)
         assert count_ball(spec) == brute_force_count(spec, required_entry_bound(spec)) == 45
 
@@ -260,7 +238,7 @@ class TestResidueLift:
     ])
     def test_matches_per_row_euclid(self, spec):
         # every coprime row lifted by its own Euclid gives the base points of
-        # _orbit_rows, which lifts once per residue class, bit for bit
+        # _row_chunks, which lifts once per residue class, bit for bit
         c, d = np.array(_height_bound_rows(spec)).T
         assert np.any(c == 1) and np.any(d < 0)
         a, b = np.array([_euclid_lift(int(ci), int(di)) for ci, di in zip(c, d)]).T
@@ -270,7 +248,8 @@ class TestResidueLift:
         den2 = den.real ** 2 + den.imag ** 2
         x0 = np.concatenate([[spec.w.x], ((a * wc + b) * den.conjugate()).real / den2])
         y0 = np.concatenate([[spec.w.y], spec.w.y / den2])
-        got_x0, got_y0 = counting._orbit_rows(spec)
+        chunks = list(counting._row_chunks(spec))
+        got_x0, got_y0 = np.concatenate([ch[0] for ch in chunks]), np.concatenate([ch[1] for ch in chunks])
         ref, got = np.lexsort((y0, x0)), np.lexsort((got_y0, got_x0))
         assert np.array_equal(x0[ref], got_x0[got]) and np.array_equal(y0[ref], got_y0[got])
 
@@ -345,19 +324,17 @@ class TestBoundaryDiagnostics:
 
 
 class TestChunkedEnumeration:
-    def test_row_chunking_is_exact(self):
-        # rows are independent, so counting per contiguous slice of the rows
-        # (the c=0 row first, then ordered by c) and summing is exact
-        from hypcircle.counting import _k_intervals, _orbit_rows
-
+    def test_row_chunking_is_exact(self, monkeypatch):
+        # rows are independent, so counting per c-chunk of the rows (the c=0
+        # row first, then ordered by c) and summing is exact at any chunk size;
+        # sizes 1 and 7 cut inside one c and leave chunks empty
         spec = BallSpec(Point(0.2, 1.3), Point(-0.1, 0.9), 6.0)
-        x0, y0 = _orbit_rows(spec)
-        edges = [0, len(x0) // 3, 2 * len(x0) // 3, len(x0)]
-        total_chunks = 0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            _, counts = _k_intervals(spec, x0[lo:hi], y0[lo:hi], 1e-12)
-            total_chunks += int(counts.sum())
-        assert total_chunks == count_ball(spec)
+        expected = count_ball(spec, with_diagnostics=True)
+        for size in (1, 7, 4096):
+            monkeypatch.setattr(counting, "_CHUNK_POINTS", size)
+            total_chunks = sum(int(counts.sum()) for *_, counts in counting._row_chunks(spec))
+            assert total_chunks == count_ball(spec)
+            assert count_ball(spec, with_diagnostics=True) == expected
 
     @pytest.mark.parametrize("spec", [BallSpec(I, I, 8.0),
                                       BallSpec(Point(0.2, 1.14), Point(-0.3, 1.1), 8.0)])

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -268,17 +267,11 @@ class TestShcFrac:
         frac_exp_reference(3.0, 0.25, 30.0, method="quadrature")
         assert calls and max(calls) <= 32
 
-    def test_memory_per_panel(self):
+    def test_memory_per_panel(self, numpy_peak):
         # shc_direct_grid sees one panel's 32 radii at a time: numpy's peak
         # allocation reads 10 MiB, where the former rule held all 2,540 radii
         # against the transform nodes and peaked at 619 MiB
-        tracemalloc.start()
-        try:
-            shc_frac(10.0, 500.0, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 300 * 2 ** 20
+        assert numpy_peak(lambda: shc_frac(10.0, 500.0, 0.5)) < 300 * 2 ** 20
 
     def test_domain(self):
         with pytest.raises(DomainError):
