@@ -60,7 +60,7 @@ def solve_coeffs(t: float, parity: str, M: int, Y: float, Q: int) -> np.ndarray:
         ys_star[i] = p.y
 
     n = np.arange(1, M + 1)
-    kappa_star = np.array([_bessel_row_scaled(t, y, M) for y in ys_star])
+    kappa_star = _bessel_row_scaled(t, ys_star, np.full(Q, M))  # (Q, M), one kernel call
     if parity == "even":
         tr_star = 2.0 * np.cos(2.0 * math.pi * np.outer(xs_star, n))
         tr_grid = np.cos(np.outer(n, theta))

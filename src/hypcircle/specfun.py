@@ -3,7 +3,9 @@
 K-Bessel with imaginary order, the Gauss 2F1 series on (-1, 1), and the
 exponential-kernel incomplete integral, all in double precision.  The
 K-Bessel is one trapezoid rule on its integral representation along a line
-shifted towards the saddle (Gil, Segura and Temme, ACM TOMS 30, 2004).
+shifted towards the saddle (Gil, Segura and Temme, ACM TOMS 30, 2004),
+vectorized over x: callers pass every x of a Fourier row, a quadrature or
+a linear system in one call, so the cost is the nodes, not the calls.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ def gauss_legendre(n: int):
 # K-Bessel with imaginary order
 # ---------------------------------------------------------------------------
 
-def _besselk_line_scaled(t: float, x: float, refine: int = 0) -> float:
+def _besselk_line_scaled(t: float, x, refine: int = 0):
     """exp(pi t/2) K_{it}(x) by the trapezoid rule on the line Im w = pi/2 - delta.
 
     There 1/2 integral exp(-x cosh w + i t w) dw has the even integrand
@@ -53,28 +55,40 @@ def _besselk_line_scaled(t: float, x: float, refine: int = 0) -> float:
     with max(t, x) delta - x sin(delta) <= 4, so the peak exceeds the value by
     at most e^4.  The step resolves the strip of half-width delta/2 to e^{-40}
     and the saddle's width 1/sqrt(x sin delta); the sum stops e^{-45} below
-    the smaller of the peak and 1.  `refine` halves the step.
+    the smaller of the peak and 1.  `refine` halves the step.  x may be an
+    array: each x keeps its own delta, step and cut-off, the nodes of all x
+    form one flat array and each x's sum is one segment of it.
     """
-    s, delta, step = max(t, x), 0.5 * math.pi, 1.0
-    while step > 1e-9:  # Newton from the right: the left side is convex in delta
-        step = max(0.0, s * delta - x * math.sin(delta) - 4.0) / (s - x * math.cos(delta))
+    xs = np.asarray(x, dtype=float).ravel()
+    s, delta, step = np.maximum(t, xs), np.full(xs.shape, 0.5 * math.pi), np.ones(xs.shape)
+    while np.any(go := step > 1e-9):  # Newton from the right: the left side is convex in delta
+        step = np.where(go, np.maximum(0.0, s * delta - xs * np.sin(delta) - 4.0)
+                        / (s - xs * np.cos(delta)), 0.0)
         delta -= step
-    if x > t:
-        delta = max(delta, math.acos(t / x))
-    decay, freq = math.sin(delta), math.cos(delta)
-    peak = t * delta - x * decay
-    h = min(math.pi * delta / 40.0, math.pi / math.sqrt(20.0 * x * decay)) / (1 << refine)
-    u_max = math.acosh(1.0 + (45.0 + max(peak, 0.0)) / (x * decay))
-    u = h * np.arange(int(u_max / h) + 2)
-    vals = np.exp(peak - x * decay * (np.cosh(u) - 1.0)) * np.cos(t * u - x * freq * np.sinh(u))
-    return float(h * (0.5 * vals[0] + np.sum(vals[1:])))
+    delta = np.maximum(delta, np.arccos(np.minimum(t / xs, 1.0)))  # saddle line where x > t
+    decay, freq = np.sin(delta), np.cos(delta)
+    peak = t * delta - xs * decay
+    h = np.minimum(math.pi * delta / 40.0, math.pi / np.sqrt(20.0 * xs * decay)) / (1 << refine)
+    u_max = np.arccosh(1.0 + (45.0 + np.maximum(peak, 0.0)) / (xs * decay))
+    counts = (u_max / h).astype(np.int64) + 2
+    starts = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(xs.size), counts)
+    u = h[owner] * (np.arange(owner.size) - starts[owner])
+    vals = (np.exp(peak[owner] - (xs * decay)[owner] * (np.cosh(u) - 1.0))
+            * np.cos(t * u - (xs * freq)[owner] * np.sinh(u)))
+    vals[starts] *= 0.5
+    out = h * np.add.reduceat(vals, starts)
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
-def bessel_k_imag_scaled(t: float, x: float) -> float:
-    """exp(pi t / 2) K_{it}(x) for finite real t, x > 0 (no underflow for moderate t)."""
-    if not (0.0 < x < math.inf and math.isfinite(t)):
-        raise DomainError(f"K_it requires finite t and 0 < x < inf, got t = {t}, x = {x}")
-    return _besselk_line_scaled(abs(t), x)  # K_{it} is even in t
+def bessel_k_imag_scaled(t: float, x):
+    """exp(pi t / 2) K_{it}(x) for finite real t, x > 0 a float or an array (no underflow)."""
+    xs = np.asarray(x, dtype=float)
+    bad = xs[~((xs > 0.0) & (xs < math.inf))]
+    if bad.size or not math.isfinite(t):  # name the first bad x, not the whole array
+        raise DomainError(f"K_it requires finite t and 0 < x < inf, got t = {t}"
+                          + (f", x = {bad[0]}" if bad.size else ""))
+    return _besselk_line_scaled(abs(t), xs)  # K_{it} is even in t
 
 
 # ---------------------------------------------------------------------------

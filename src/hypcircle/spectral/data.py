@@ -199,9 +199,9 @@ def bessel_decay_cutoff(t: float, log_tol: float = 21.0) -> float:
     return hi
 
 
-def _required_terms(cutoff: float, y: float) -> int:
-    """Fourier terms needed at height y, given cutoff = bessel_decay_cutoff(t)."""
-    return max(1, int(math.ceil(cutoff / (2.0 * math.pi * y))))
+def _required_terms(cutoff: float, y):
+    """Fourier terms needed at height y (or at each y), given cutoff = bessel_decay_cutoff(t)."""
+    return np.maximum(1, np.ceil(cutoff / (2.0 * math.pi * y)).astype(int))
 
 
 def maass_value(datum: SpectralDatum, z: Point) -> float:
@@ -221,19 +221,24 @@ def maass_value(datum: SpectralDatum, z: Point) -> float:
     return rho_scaled * float(_hecke_row_scaled(datum, [z.x], z.y, needed)[0])
 
 
-def _bessel_row_scaled(t: float, y: float, n_terms: int) -> np.ndarray:
-    """exp(pi t/2) K_{it}(2 pi n y) for n = 1..n_terms."""
-    return np.array([bessel_k_imag_scaled(t, 2.0 * math.pi * y * n)
-                     for n in range(1, n_terms + 1)])
+def _bessel_row_scaled(t: float, y, n_terms) -> np.ndarray:
+    """exp(pi t/2) K_{it}(2 pi n y) for n = 1..n_terms, in one kernel call.  An array
+    of heights gives one row per y, max(n_terms) wide and zero past its own n_terms."""
+    n = np.arange(1, np.max(n_terms) + 1)
+    inside = n <= np.reshape(n_terms, (-1, 1))
+    rows = np.zeros(inside.shape)
+    rows[inside] = bessel_k_imag_scaled(t, (2.0 * math.pi * np.reshape(y, (-1, 1)) * n)[inside])
+    return rows.reshape(np.shape(y) + n.shape)
 
 
-def _hecke_row_scaled(datum: SpectralDatum, xs, y: float, n_terms: int) -> np.ndarray:
-    """sqrt(y) sum a_n [e^{pi t/2} K_{it}(2 pi n y)] tr(2 pi n x) for each x in xs."""
-    n = np.arange(1, n_terms + 1)
-    weights = datum.coeffs[:n_terms] * _bessel_row_scaled(datum.t, y, n_terms)
-    phase = 2.0 * math.pi * np.outer(xs, n)
+def _hecke_row_scaled(datum: SpectralDatum, xs, y, n_terms) -> np.ndarray:
+    """sqrt(y) sum a_n [e^{pi t/2} K_{it}(2 pi n y)] tr(2 pi n x) for each x in xs;
+    with an array of heights, row i of xs and n_terms[i] belong to y[i]."""
+    weights = _bessel_row_scaled(datum.t, y, n_terms)
+    weights *= datum.coeffs[:weights.shape[-1]]
+    phase = 2.0 * math.pi * (np.asarray(xs)[..., None] * np.arange(1, weights.shape[-1] + 1))
     tr = 2.0 * np.cos(phase) if datum.parity == "even" else 2.0 * np.sin(phase)
-    return math.sqrt(y) * tr @ weights
+    return (np.sqrt(y)[..., None, None] * tr @ weights[..., None])[..., 0]
 
 
 def normalize_l2(datum: SpectralDatum, refine: int = 0,
@@ -245,7 +250,8 @@ def normalize_l2(datum: SpectralDatum, refine: int = 0,
     Fourier orthogonality, the arc region sqrt(3)/2 <= y < 1 is a 2-d
     quadrature, and the tail above Y is estimated from the exponential decay
     of the leading term.  Relative accuracy ~1e-4 (refine doubles node
-    counts).
+    counts).  The K values come in three kernel calls: every (y, n) pair of
+    the strip, the rows of every arc height, and the tail.
     """
     t = datum.t
     Y = truncation_height if truncation_height is not None else t / (2.0 * math.pi) + 3.0
@@ -261,26 +267,21 @@ def normalize_l2(datum: SpectralDatum, refine: int = 0,
     n_y = (220 + int(14.0 * t)) << refine
     ynodes, yw = gauss_legendre(48)
     edges = np.linspace(1.0, Y, max(8, n_y // 48) + 1)
-    strip = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        ys = lo + (hi - lo) * ynodes
-        for y, wgt in zip(ys, yw * (hi - lo)):
-            n_terms = min(_required_terms(cutoff, y), datum.coeffs.size)
-            ks = _bessel_row_scaled(t, y, n_terms)
-            strip += wgt * 2.0 * float(np.sum((datum.coeffs[:n_terms] * ks) ** 2)) / y
+    widths = np.diff(edges)[:, None]
+    ys, wys = (edges[:-1, None] + widths * ynodes).ravel(), (yw * widths).ravel()
+    ks = _bessel_row_scaled(t, ys, np.minimum(_required_terms(cutoff, ys), datum.coeffs.size))
+    strip = float(np.sum(wys * 2.0 * np.sum((datum.coeffs[:ks.shape[1]] * ks) ** 2, 1) / ys))
 
     # arc region sqrt(3)/2 <= y < 1, |x| in [sqrt(1-y^2), 1/2]; |phi|^2 even in x
     xq, xw = gauss_legendre(64 << refine)
     yq, yw2 = gauss_legendre(48 << refine)
     y0 = math.sqrt(3.0) / 2.0
-    arc = 0.0
     ys = y0 + (1.0 - y0) * yq
-    for y, wy in zip(ys, yw2 * (1.0 - y0)):
-        xc = math.sqrt(max(1.0 - y * y, 0.0))
-        n_terms = min(_required_terms(cutoff, y), datum.coeffs.size)
-        xs = xc + (0.5 - xc) * xq
-        vals = _hecke_row_scaled(datum, xs, y, n_terms)
-        arc += wy * 2.0 * (0.5 - xc) * float(np.sum(xw * vals ** 2)) / (y * y)
+    xc = np.sqrt(np.maximum(1.0 - ys * ys, 0.0))
+    xs = xc[:, None] + (0.5 - xc)[:, None] * xq
+    n_terms = np.minimum(_required_terms(cutoff, ys), datum.coeffs.size)
+    sq = np.sum(xw * _hecke_row_scaled(datum, xs, ys, n_terms) ** 2, 1)
+    arc = float(np.sum(yw2 * (1.0 - y0) * 2.0 * (0.5 - xc) * sq / (ys * ys)))
 
     # tail above Y from the decay of the leading coefficient
     kY = bessel_k_imag_scaled(t, 2.0 * math.pi * Y)

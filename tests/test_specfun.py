@@ -107,6 +107,37 @@ class TestBesselKImag:
             v1 = _besselk_line_scaled(t, x, refine=1)
             assert abs(v0 - v1) <= 1e-10 * max(abs(v0), 1e-300)
 
+    @pytest.mark.parametrize("refine", [0, 1])
+    @pytest.mark.parametrize("t", [0.0, 9.53, 26.447, 61.0])
+    def test_array_call_matches_scalar_calls(self, t, refine):
+        # every x keeps its own line, step and cut-off: one call over many x
+        # returns, bit for bit, what one call per x returns
+        from hypcircle.specfun import _besselk_line_scaled
+
+        xs = np.geomspace(1e-3, 300.0, 500)
+        one_call = _besselk_line_scaled(t, xs, refine=refine)
+        per_x = [_besselk_line_scaled(t, float(x), refine=refine) for x in xs]
+        assert np.array_equal(one_call, per_x)
+
+    def test_array_shapes(self):
+        xs = np.linspace(0.5, 9.0, 12)
+        assert type(bessel_k_imag_scaled(3.0, np.float64(2.0))) is float
+        assert type(bessel_k_imag_scaled(3.0, np.array(2.0))) is float
+        assert bessel_k_imag_scaled(3.0, xs).shape == (12,)
+        grid = bessel_k_imag_scaled(3.0, xs.reshape(3, 4))
+        assert grid.shape == (3, 4) and grid[1, 2] == bessel_k_imag_scaled(3.0, float(xs[6]))
+        empty = bessel_k_imag_scaled(3.0, np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_array_with_one_bad_x(self, bad):
+        xs = np.linspace(0.5, 40.0, 200)
+        xs[137] = bad
+        with pytest.raises(DomainError) as err:
+            bessel_k_imag_scaled(9.53, xs)
+        msg = str(err.value)
+        assert "\n" not in msg and msg.endswith(f"x = {bad}") and "40.0" not in msg
+
     def test_transition_band_accuracy(self):
         # independent arbitrary-precision values across path switches
         for (t, x) in [(3.0, 9.0), (12.0, 70.0), (26.0, 28.0), (26.0, 35.0)]:

@@ -172,6 +172,28 @@ class TestNormalizeL2:
             scaled = f.l2norm * math.exp(-0.5 * math.pi * f.t)
             assert 0.05 < scaled < 20.0
 
+    def test_one_kernel_call_per_batch(self, dataset, monkeypatch):
+        # the strip, the arc rows and the tail above Y are one K-Bessel call
+        # each, and a point value is one more
+        from hypcircle import specfun
+
+        calls = []
+        kernel = specfun._besselk_line_scaled
+
+        def counted(t, x, refine=0):
+            calls.append(np.size(x))
+            return kernel(t, x, refine)
+
+        monkeypatch.setattr(specfun, "_besselk_line_scaled", counted)
+        top = dataset.forms[-1]
+        assert abs(top.t - 26.447) < 1e-3
+        rho = normalize_l2(SpectralDatum(t=top.t, parity=top.parity, coeffs=top.coeffs))
+        assert len(calls) <= 3 and sum(calls) > 1000
+        assert rho == pytest.approx(top.l2norm, rel=1e-10)
+        calls.clear()
+        maass_value(top, Point(0.2, 1.14))
+        assert len(calls) == 1
+
     def test_truncation_height_stability(self, dataset):
         # raising the truncation height by 1 moves rho by less than 1e-3:
         # the estimated tail above Y really is that small
@@ -237,3 +259,9 @@ def test_generator_script_imports():
     script = Path(__file__).resolve().parents[1] / "scripts" / "gen_maass_data.py"
     namespace = runpy.run_path(str(script), run_name="not_main")
     assert callable(namespace["main"]) and callable(namespace["automorphy_residual"])
+    # and its automorphy solve still reproduces the bundled coefficients
+    # a_1..a_10 within the script's 1e-7 gate (about 5.8e-10 and 4.8e-9)
+    for f in bundled_dataset().forms[:2]:
+        Y, M, Q = namespace["layout"](f.t, 10)
+        a = namespace["solve_coeffs"](f.t, f.parity, M, Y, Q)
+        assert np.max(np.abs(a[:10] - f.coeffs[:10])) < 1e-7
