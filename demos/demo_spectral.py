@@ -23,7 +23,7 @@ amps = amplitude(ds, z, z)
 print("\nspectral weights b_j = |phi_j(i)|^2 of the even forms:")
 for a in amps:
     if abs(a.b) > 1e-12:
-        print(f"  t = {a.t:9.5f}   b = {a.b.real:9.5f}")
+        print(f"  t = {a.t:9.5f}   b = {a.b:9.5f}")
 
 print("\nkernel transform at radius 6: oscillatory decay like t^(-3/2):")
 for t in (2.0, 8.0, 32.0, 128.0):

@@ -121,11 +121,13 @@ def _dataset(path):
 
 def cmd_count(args):
     spec = BallSpec(args.z, args.w, args.s)
+    # the oracle first: its size guard refuses a large ball before the count runs
+    oracle = brute_force_count(spec, required_entry_bound(spec)) if args.oracle else None
     n = count_ball(spec)
     out = {"count": n}
     if args.oracle:
-        out["oracle"] = brute_force_count(spec, required_entry_bound(spec))
-        out["agree"] = out["oracle"] == n
+        out["oracle"] = oracle
+        out["agree"] = oracle == n
     _emit(out)
 
 
@@ -143,7 +145,8 @@ def cmd_error_term(args):
     else:
         err = sample_e_alpha(args.z, args.w, args.alpha, args.smax, args.step,
                              method=args.method, distances=distances)
-    if args.cache:
+    # only an enumeration writes a cache: one read with --cache-in is cut to --smax
+    if args.cache and not args.cache_in:
         save_distances(args.cache, distances)
     _write_csv(args.out, err.grid, err.values)
 

@@ -30,21 +30,11 @@ SHC_FRAC_TAIL_C = 1.0
 # the main term alone contributes 2 sqrt(pi) ~ 3.54.
 SHC_FRAC_DECAY_C = 8.0
 
-# |htilde(delta, 0) - 1| / delta^2: measured 0.03125 (= 1/32).
-HTILDE_ZERO_C = 0.1
-
-# htilde(delta, t) * (delta t)^{3/2} for delta*t in [10, 50]: measured max 1.38.
-HTILDE_DECAY_C = 3.0
-
 # small-radius closed form: |value - quadrature| / error_bound at
 # (R, t) = (0.3, 3), (0.5, 12), (0.8, 40): measured max 3.3e-3 for the one
 # hypergeometric series (error_bound 1e-10 |value| + 1e-13); 0.19 for the
 # former Bessel-J1 main term against its own envelope.
 HR_SMALL_R_ENVELOPE_C = 1.0
-
-# imaginary-t main term at R=2, t=0.3i:
-# |exact - main| / ((1+1/|t|) e^{R(1/2-|t|)}) measured 1.84.
-HR_IMAG_T_ENVELOPE_C = 3.0
 
 # --- error-term experiments (z = w = i) --------------------------------------
 

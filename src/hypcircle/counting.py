@@ -227,7 +227,9 @@ def brute_force_count(spec: BallSpec, entry_bound: int) -> int:
 
     Completely independent of the row/translation enumeration; cost grows
     like bound^3, so keep s small.  Raises BoundInsufficient (reporting the
-    required bound) when the bound cannot be proven to contain the ball.
+    required bound) when the bound cannot be proven to contain the ball, and
+    MemoryBudgetExceeded when its (2 bound + 1)^2 pairs (b, c) exceed
+    DEFAULT_POINT_CAP (bound 5,962 at s = 16, z = w = i).
     """
     required = required_entry_bound(spec)
     if entry_bound < required:
@@ -236,6 +238,10 @@ def brute_force_count(spec: BallSpec, entry_bound: int) -> int:
             required=required,
         )
     E = int(entry_bound)
+    # each a scans (2E+1)^2 pairs (b, c) in several int64 arrays of that size
+    if (2 * E + 1) ** 2 > DEFAULT_POINT_CAP:
+        raise MemoryBudgetExceeded(
+            f"oracle entry bound {E} scans {(2 * E + 1) ** 2} pairs (b, c), past cap {DEFAULT_POINT_CAP}")
     cosh_s_eff = math.cosh(spec.s) * (1.0 + _BOUNDARY_GUARD)
     zc, wc = spec.z.z, spec.w.z
     total = 0

@@ -184,8 +184,9 @@ def exact_e_alpha(distances: DistanceMultiset, alpha: float, s_max: float,
     # s_k <= d < s_{k+1}: sample j is reached when d < s_j, as in a direct sum
     k = np.searchsorted(grid, d, side="right") - 1
     near = k[:np.searchsorted(k, n - 1)] + 1  # k is sorted; k + 1 < n
+    # float even when near is empty: numpy's bincount then returns int64 whatever the weights
     acc = np.bincount(near, weights=lower_incomplete_exp(alpha, grid[near] - d[:near.size]),
-                      minlength=n)
+                      minlength=n).astype(float, copy=False)
     cells = n - 2  # cells k < n-2 reach the samples k+m, m >= 2
     if cells > 0:
         deg = np.arange(_CHEB_DEGREE + 1)
@@ -476,10 +477,9 @@ def hybrid_run(z: Point, w: Point, schedule: str, T_values, step: float = DEFAUL
     _grid_size(s_need, step)
     if distances is None:
         distances = list_distances(BallSpec(z, w, s_need))
-    base = sample_error(z, w, s_need, step, distances=distances).series
     out = []
     for T, a, cond in zip(T_values, alphas, conds):
-        err = ErrorSeries(series=frac_integrate(base, a), alpha=a)
+        err = sample_e_alpha(z, w, a, s_need, step, distances=distances)
         var = window_variance(err, T, window="0T")
         out.append(HybridPoint(T=T, alpha=a, condition=cond, variance=var))
     return out

@@ -10,7 +10,7 @@ from .data import (
     amplitude,
     Amplitude,
 )
-from .transforms import shc_direct, h_r_closed, htilde, shc_frac, r_alpha, ShcFracResult, HrResult
+from .transforms import shc_direct, h_r_closed, shc_frac, r_alpha, ShcFracResult, HrResult
 from .terms import (
     main_term,
     spectral_variance,
@@ -29,7 +29,6 @@ __all__ = [
     "Amplitude",
     "shc_direct",
     "h_r_closed",
-    "htilde",
     "shc_frac",
     "r_alpha",
     "ShcFracResult",

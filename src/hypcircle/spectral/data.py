@@ -38,10 +38,6 @@ __all__ = [
 
 _BUNDLED_NAME = "maass_psl2z.txt"
 
-# Spectral parameters within this distance are treated as one eigenvalue
-# when amplitudes are grouped.
-_T_GROUPING_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralDatum:
@@ -86,10 +82,10 @@ class SpectralDataset:
 
 @dataclass(frozen=True)
 class Amplitude:
-    """Frequency t with its spectral weight b = phi(z) * conj(phi(w))."""
+    """Frequency t with its spectral weight b = phi(z) * phi(w) (real forms)."""
 
     t: float
-    b: complex
+    b: float
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +107,8 @@ def parse_spectral_data(text: str, origin: str = "<string>") -> SpectralDataset:
     group_part, _, source_part = header.partition(" #source=")
     group = group_part[len("#group="):].strip()
     source = source_part.strip()
-    if not group:
-        raise ParseError(f"{origin}:1: empty group tag")
+    if group != "PSL2Z":  # every model here is the modular group's
+        raise ParseError(f"{origin}:1: group tag {group!r} is not PSL2Z")
     forms = []
     for lineno, ln in enumerate(lines[1:], start=2):
         if ln.startswith("#"):
@@ -299,19 +295,13 @@ def ensure_l2norm(datum: SpectralDatum) -> float:
 
 
 def amplitude(dataset: SpectralDataset, z: Point, w: Point) -> list[Amplitude]:
-    """Spectral weights b_j = phi_j(z) conj(phi_j(w)) per distinct eigenvalue.
+    """Spectral weights b_j = phi_j(z) phi_j(w), one per form.
 
-    Entries whose spectral parameters agree within 1e-9 are merged by
-    summing their weights, so synthetic multiplicity is honored.  The forms
-    are evaluated at the fundamental-domain representatives of z and w, where
-    their Fourier series need the fewest terms; phi(gamma z) = phi(z).
+    The Hecke-Maass forms of PSL(2,Z) are real-valued, so no conjugate is
+    taken, and the dataset's spectral parameters strictly increase, so no two
+    forms share a frequency.  The forms are evaluated at the fundamental-domain
+    representatives of z and w, where their Fourier series need the fewest
+    terms; phi(gamma z) = phi(z).
     """
     z, w = pullback(z), pullback(w)
-    out: list[Amplitude] = []
-    for f in dataset.forms:
-        b = complex(maass_value(f, z)) * complex(maass_value(f, w)).conjugate()
-        if out and abs(f.t - out[-1].t) <= _T_GROUPING_TOL:
-            out[-1] = Amplitude(out[-1].t, out[-1].b + b)
-        else:
-            out.append(Amplitude(f.t, b))
-    return out
+    return [Amplitude(f.t, maass_value(f, z) * maass_value(f, w)) for f in dataset.forms]

@@ -90,8 +90,8 @@ def spectral_variance(amplitudes, order, t_max: float) -> VarianceSum:
 def f_alpha_sum(amplitudes, order, s):
     """Finite trigonometric model sum_j Re(r_alpha(t_j) e^{i t_j s}) b_j.
 
-    Vectorized over s; b_j are treated as complex and the real part of the
-    whole summand is taken, matching Re(r b e^{its}) for Hermitian pairs.
+    Vectorized over s; b_j is real and r_alpha(t_j) complex, so each summand
+    is Re(c_j) cos(t_j s) - Im(c_j) sin(t_j s) with c_j = r_alpha(t_j) b_j.
     Terms with b_j = 0 (odd forms on the imaginary axis) add exactly zero
     and are skipped.
     """

@@ -21,10 +21,8 @@ from ..specfun import gauss_2f1, gauss_legendre
 
 __all__ = [
     "shc_direct",
-    "shc_direct_grid",
     "h_r_closed",
     "HrResult",
-    "htilde",
     "shc_frac",
     "ShcFracResult",
     "r_alpha",
@@ -52,39 +50,27 @@ def _shc_panels(s: float, t: float) -> tuple[int, int]:
     return panels, 32
 
 
-def shc_direct(s: float, t: float, refine: int = 0) -> float:
+def shc_direct(s, t: float, refine: int = 0):
     """Transform of the radius-s indicator kernel scaled by exp(-s/2):
 
         2^{3/2} e^{-s/2} integral_{-s}^{s} (cosh s - cosh r)^{1/2} e^{irt} dr
 
-    evaluated with the substitution r = s - v^2 that absorbs the square-root
-    vanishing at the endpoints.  `refine` doubles the panel count (used by
-    self-convergence tests).
-    """
-    if not 0.0 < s < math.inf:
-        raise DomainError(f"requires a finite s > 0, got {s}")
-    return float(shc_direct_grid(np.array([s]), t, refine)[0])
-
-
-def shc_direct_grid(s_values: np.ndarray, t: float, refine: int = 0) -> np.ndarray:
-    """shc_direct evaluated on an array of radii sharing one quadrature layout.
-
+    at a radius or an array of radii in (0, 709.78]; a float for a float.
     With r = s(1 - xi^2) the integral becomes
         2 s integral_0^1 sqrt(cosh s - cosh(s(1-xi^2))) cos(s(1-xi^2) t) xi dxi,
-    smooth in xi, so one Gauss-Legendre grid serves every radius row.
+    smooth in xi, so one Gauss-Legendre grid, laid out for the largest radius,
+    serves every radius.  `refine` doubles the panel count (used by
+    self-convergence tests).
     """
     if not math.isfinite(t):
         raise DomainError(f"requires a finite t, got {t}")
-    s_values = np.asarray(s_values, dtype=float)
-    out = np.zeros(s_values.shape)
-    pos = s_values > 0.0
-    if not np.any(pos):
-        return out
-    s_pos = s_values[pos]
-    s_top = float(np.max(s_pos))
-    if not s_top <= _MAX_RADIUS:
-        raise DomainError(f"requires s <= {_MAX_RADIUS}, where cosh overflows; got {s_top}")
-    panels, order = _shc_panels(s_top, t)
+    s_arr = np.asarray(s, dtype=float)
+    s_pos = s_arr.ravel()
+    bad = ~((s_pos > 0.0) & (s_pos <= _MAX_RADIUS))
+    if np.any(bad):
+        raise DomainError(f"requires 0 < s <= {_MAX_RADIUS}, where cosh overflows; "
+                          f"got {s_pos[bad][0]}")
+    panels, order = _shc_panels(float(np.max(s_pos, initial=0.0)), t)
     panels <<= refine
     x, wq = gauss_legendre(order)
     # panels graded so each carries equal phase: uniform in r/s = 1 - xi^2
@@ -98,8 +84,8 @@ def shc_direct_grid(s_values: np.ndarray, t: float, refine: int = 0) -> np.ndarr
     integrand = np.sqrt(np.maximum(inner, 0.0)) * np.cos(t * r) * xi[None, :]
     # acc = integral over [0, s]; the full [-s, s] integral is twice that
     acc = 2.0 * s_pos * (integrand @ wxi)
-    out[pos] = 2.0 ** 1.5 * np.exp(-0.5 * s_pos) * 2.0 * acc
-    return out
+    out = (2.0 ** 1.5 * np.exp(-0.5 * s_pos) * 2.0 * acc).reshape(s_arr.shape)
+    return float(out) if s_arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -114,25 +100,21 @@ def _gamma_ratio(z: complex) -> complex:
     """Gamma(z) / Gamma(3/2 + z) as one log-gamma difference.
 
     Each Gamma alone under- or overflows past |Im z| of about 450 while the
-    ratio ~ z^{-3/2} stays finite. The ratio is 0 where 3/2 + z is a pole of
-    Gamma, where loggamma gives NaN.
+    ratio ~ z^{-3/2} stays finite.
     """
     from scipy.special import loggamma  # here, so that importing hypcircle skips SciPy
 
-    w = 1.5 + z
-    if w.imag == 0.0 and w.real <= 0.0 and w.real.is_integer():
-        return 0j
-    return cmath.exp(loggamma(z) - loggamma(w))
+    return cmath.exp(loggamma(z) - loggamma(1.5 + z))
 
 
-def _hr_halfterm(R: float, tc: complex) -> complex:
+def _hr_halfterm(R: float, t: float) -> complex:
     """e^{itR} G(it) 2F1(-1/2, -1/2 - it; 1 - it; e^{-2R}) with G = _gamma_ratio."""
-    it = 1j * tc
+    it = 1j * t
     q = math.exp(-2.0 * R)
     return cmath.exp(it * R) * _gamma_ratio(it) * gauss_2f1(-0.5, -0.5 - it, 1.0 - it, q)
 
 
-def h_r_closed(R: float, t: complex) -> HrResult:
+def h_r_closed(R: float, t: float) -> HrResult:
     """Transform of the radius-R indicator kernel (no exp(-R/2) scaling).
 
     One series for every radius: with q = e^{-2R} and G(z) = Gamma(z)/Gamma(3/2+z),
@@ -142,34 +124,19 @@ def h_r_closed(R: float, t: complex) -> HrResult:
     Pfaff's transformation (DLMF 15.8.1) of the form in 1/(1 - e^{2R}).  The
     series needs about 20/R terms and loses digits to cancellation as R falls,
     so R below _MIN_RADIUS is a DomainError; above it the value is within
-    error_bound = 1e-10 |value| + 1e-13 of 40-digit quadrature, for real t up
-    to 1000 and for purely imaginary t.
+    error_bound = 1e-10 |value| + 1e-13 of 40-digit quadrature for t up to
+    1000.  t is real: PSL(2,Z) has no exceptional eigenvalue, so every
+    spectral parameter it meets is real, and a complex t is a DomainError.
     """
     if not _MIN_RADIUS <= R <= _MAX_RADIUS:
         raise DomainError(f"requires {_MIN_RADIUS} <= R <= {_MAX_RADIUS}, got {R}")
-    tc = complex(t)
-    if not cmath.isfinite(tc):
-        raise DomainError(f"requires a finite t, got {t}")
-    if tc.real != 0.0 and tc.imag != 0.0:  # off both axes h_R(t) is complex
-        raise DomainError(f"requires a real or purely imaginary t, got {t}")
-    it = 1j * tc
-    if abs(it.real - round(it.real)) < 1e-12 and abs(it.imag) < 1e-12:
-        raise ArgumentOutOfRange(f"closed form undefined at integer i*t, got t = {t}")
-    halves = _hr_halfterm(R, tc) + _hr_halfterm(R, -tc)
+    if isinstance(t, complex) or not math.isfinite(t):
+        raise DomainError(f"requires a finite real t, got {t}")
+    if abs(t) < 1e-12:  # Gamma(it) has its pole at t = 0
+        raise ArgumentOutOfRange(f"closed form undefined at t = 0, got t = {t}")
+    halves = _hr_halfterm(R, t) + _hr_halfterm(R, -t)
     val = math.sqrt(math.pi) * math.exp(0.5 * R) * halves.real
     return HrResult(val, 1e-10 * abs(val) + 1e-13)
-
-
-def htilde(delta: float, t: float) -> float:
-    """Transform of the unit-mass smoothing bump of radius delta.
-
-    The bump is the radius-delta indicator divided by the ball area
-    4 pi sinh^2(delta/2); its transform is evaluated by exact quadrature.
-    """
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"requires 0 < delta < 1, got {delta}")
-    h_delta = math.exp(0.5 * delta) * shc_direct(delta, t)
-    return h_delta / (4.0 * math.pi * math.sinh(0.5 * delta) ** 2)
 
 
 def r_alpha(t: float, order) -> complex:
@@ -208,6 +175,6 @@ def shc_frac(s: float, t: float, order) -> ShcFracResult:
     # each of the panels x 32 radii meets at most panels x per_panel transform nodes
     if (panels * per_panel) ** 2 > _SHC_FRAC_EVALUATIONS:
         raise DomainError(f"|t| s = {abs(t) * s:.3g} needs over {_SHC_FRAC_EVALUATIONS} evaluations")
-    value = frac_integral_at(lambda x: shc_direct_grid(x, t), alpha, s, panels)
+    value = frac_integral_at(lambda x: shc_direct(x, t), alpha, s, panels)
     asym = (r_alpha(t, alpha) * cmath.exp(1j * t * s)).real
     return ShcFracResult(value, float(asym))

@@ -86,6 +86,13 @@ class TestCount:
         code, _, err = run(capsys, "count", "--s", "200")
         assert code == 2
 
+    def test_oracle_past_cap_one_line(self, capsys):
+        # at s = 16 the oracle would scan 142 M pairs (b, c) per a, about
+        # 1 GiB per int64 array
+        code, out, err = run(capsys, "count", "--s", "16", "--oracle")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_too_many_candidate_rows_one_line(self):
         # s = 29 is under the radius ceiling, but its 6.2e12 candidate rows
         # would need 45 TiB; in a subprocess, so that nothing else reaches stderr
@@ -176,6 +183,27 @@ class TestErrorTerm:
         assert code == 0, err
         assert cached.read_bytes() == enumerated.read_bytes()
 
+    def test_cached_run_keeps_a_larger_cache(self, capsys, tmp_path):
+        # a run that reads its distances from a cache never writes --cache, so
+        # it cannot replace an s = 8 cache by one cut to its own s = 4
+        cache, out_path = tmp_path / "cache.bin", tmp_path / "e.csv"
+        code, _, _ = run(capsys, "error-term", "--smax", "8", "--out", str(out_path),
+                         "--cache", str(cache))
+        assert code == 0
+        written = cache.read_bytes()
+        code, _, _ = run(capsys, "error-term", "--smax", "4", "--out", str(out_path),
+                         "--cache-in", str(cache), "--cache", str(cache))
+        assert code == 0 and cache.read_bytes() == written
+        code, _, err = run(capsys, "error-term", "--smax", "8", "--out", str(out_path),
+                           "--cache-in", str(cache))
+        assert code == 0, err
+
+    def test_exact_with_no_distance_below_last_sample(self, capsys, tmp_path):
+        # the ball's one distance, 0.2997, lies past the last sample 153/512
+        code, _, err = run(capsys, "error-term", "--z", "0.2,1.14", "--w=-0.3,1.1",
+                           "--smax", "0.3", "--alpha", "0.5", "--method", "exact",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 0, err
 
     def test_cache_in_below_smax_rejected(self, capsys, tmp_path):
         # a radius-4 cache read for --smax 6 would miss every distance in (4, 6]
@@ -409,6 +437,26 @@ def test_non_finite_spectral_file_rejected(capsys, tmp_path, command, bad):
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert "forms.txt:2:" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "50"],
+    ["variance", "--alpha", "0.5", "--T", "3"],
+], ids=["distribution", "variance"])
+def test_other_group_spectral_file_rejected(capsys, tmp_path, command):
+    # a dataset tagged for another group cannot feed the PSL(2,Z) model
+    from hypcircle.spectral import bundled_dataset
+    from hypcircle.spectral.data import dump_spectral_data
+    text = dump_spectral_data(bundled_dataset()).replace("#group=PSL2Z", "#group=Gamma0(11)", 1)
+    path = tmp_path / "forms.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = command + ["--spectral", str(path)]
+    if command[0] == "distribution":
+        argv += ["--out", str(tmp_path / "out.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert "forms.txt:1:" in err and "PSL2Z" in err
 
 
 @pytest.mark.parametrize("exc", [ValueError("bad\nvalue"), MemoryError()],

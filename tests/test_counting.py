@@ -128,6 +128,16 @@ class TestLimitsAndErrors:
         with pytest.raises(MemoryBudgetExceeded):
             list_distances(BallSpec(I, I, 12.0))
 
+    def test_oracle_size_guard(self, monkeypatch):
+        # the oracle's (2E+1)^2 pairs (b, c) are refused before any allocation
+        spec = BallSpec(I, I, 2.0)
+        bound = required_entry_bound(spec)
+        monkeypatch.setattr(counting, "DEFAULT_POINT_CAP", (2 * bound + 1) ** 2 - 1)
+        with pytest.raises(MemoryBudgetExceeded, match="oracle"):
+            brute_force_count(spec, bound)
+        monkeypatch.setattr(counting, "DEFAULT_POINT_CAP", (2 * bound + 1) ** 2)
+        assert brute_force_count(spec, bound) == count_ball(spec)
+
     def test_distance_list_peak_memory(self, numpy_peak):
         # 488,114 points (3.7 MiB) at s = 12: a counting pass sizes the distance
         # array, and the points are formed in chunks of about 2^16 straight

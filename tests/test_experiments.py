@@ -121,6 +121,16 @@ class TestSampleEAlpha:
         exact = exact_e_alpha(dist, 0.4, 6.0)[idx]
         assert float(np.max(np.abs(err.values[idx] - exact))) <= method_budget(0.4)
 
+    def test_exact_with_no_distance_below_last_sample(self):
+        # d(z, w) = 0.2997 lies past s_{n-1} = 153/512, so no distance reaches a
+        # sample; the exact path must still agree with the grid path
+        z, w = Point(0.2, 1.14), Point(-0.3, 1.1)
+        dist = list_distances(BallSpec(z, w, 0.3))
+        assert dist.values.size == 1 and dist.values[0] > 153 / 512
+        exact = exact_e_alpha(dist, 0.5, 0.3)
+        grid = sample_e_alpha(z, w, 0.5, 0.3, distances=dist).values
+        assert float(np.max(np.abs(exact - grid))) <= method_budget(0.5)
+
     def test_bad_method_and_order_rejected_before_enumerating(self, monkeypatch):
         def no_enumeration(spec):
             raise AssertionError("enumerated before validating")
@@ -426,17 +436,17 @@ class TestHybrid:
             assert p.variance <= constants.HYBRID_VARIANCE_C
         assert pts[1].condition <= 0.02
 
-    def test_one_sample_of_e(self, monkeypatch, distances_14):
-        # e is sampled once and integrated per order, as sample_e_alpha would
-        calls, sample = [], experiments.sample_error
+    def test_each_order_through_sample_e_alpha(self, monkeypatch, distances_14):
+        # each order's e_alpha is sample_e_alpha's, on the distances given
+        calls, sample = [], experiments.sample_e_alpha
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            calls.append(kwargs["distances"])
             return sample(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "sample_error", counted)
+        monkeypatch.setattr(experiments, "sample_e_alpha", counted)
         pts = hybrid_run(I, I, "inv-sqrt", [6.0, 9.0, 12.0], distances=distances_14)
-        assert len(calls) == 1
+        assert len(calls) == 3 and all(d is distances_14 for d in calls)
         for p in pts:
             err = sample_e_alpha(I, I, p.alpha, 12.0, distances=distances_14)
             assert p.variance == window_variance(err, p.T, window="0T")
@@ -459,7 +469,7 @@ class TestPreTraceSanity:
         # smoothed partial sum over the bundled spectrum reproduces e(s) up to
         # a bounded residual (continuous spectrum omitted, eigenvalues
         # truncated at the bundled ceiling)
-        from hypcircle.spectral.transforms import htilde, shc_direct
+        from hypcircle.spectral.transforms import shc_direct
 
         dist = list_distances(BallSpec(I, I, 10.0))
         err = sample_error(I, I, 10.0, step=1.0 / 64.0, distances=dist)
@@ -470,9 +480,10 @@ class TestPreTraceSanity:
         for a in amplitudes_ii:
             if abs(a.b) < 1e-12:
                 continue
-            hd = htilde(delta, a.t)
-            hs = np.array([shc_direct(float(s) + delta, a.t) for s in svals])
-            partial += hd * hs * a.b.real
+            # transform of the unit-mass bump: the radius-delta indicator over the ball area
+            hd = (math.exp(0.5 * delta) * shc_direct(delta, a.t)
+                  / (4.0 * math.pi * math.sinh(0.5 * delta) ** 2))
+            partial += hd * shc_direct(svals + delta, a.t) * a.b
         resid = float(np.mean(np.abs(err.values[sel] - partial)))
         assert resid <= constants.PRETRACE_RESIDUAL_C
         assert resid >= constants.PRETRACE_RESIDUAL_C / 8.0  # drift guard

@@ -52,6 +52,13 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_spectral_data("t=1 parity=even l2norm=none coeffs=0.5\n")
 
+    def test_group_tag_checked(self):
+        form = "t=9.5 parity=odd l2norm=none coeffs=0.1\n"
+        for header in ("#group=SL2Z #source=x\n", "#group= #source=x\n"):
+            with pytest.raises(ParseError, match="PSL2Z"):
+                parse_spectral_data(header + form)
+        assert parse_spectral_data("#group=PSL2Z #source=x\n" + form).group == "PSL2Z"
+
     def test_empty_form_list(self):
         with pytest.raises(ValidationError):
             parse_spectral_data("#group=PSL2Z #source=x\n")
@@ -210,6 +217,14 @@ class TestAmplitude:
             assert a.b.imag == pytest.approx(0.0, abs=1e-12)
             assert a.b.real >= 0.0
 
+    def test_one_real_weight_per_form(self, dataset):
+        z, w = Point(0.2, 1.14), Point(-0.3, 1.1)
+        amps = amplitude(dataset, z, w)
+        assert [a.t for a in amps] == [f.t for f in dataset.forms]
+        for a, f in zip(amps, dataset.forms):
+            assert type(a.b) is float
+            assert a.b == maass_value(f, pullback(z)) * maass_value(f, pullback(w))
+
     def test_swap_conjugates(self, dataset):
         z, w = Point(0.2, 1.3), Point(-0.1, 0.9)
         fwd = amplitude(dataset, z, w)
@@ -233,14 +248,6 @@ class TestAmplitude:
         c = max(abs(a.b) / a.t for a in amps_ii)
         assert c <= constants.AMPLITUDE_OVER_T_C
         assert c >= constants.AMPLITUDE_OVER_T_C / 4.0
-
-    def test_duplicate_grouping(self):
-        f1 = SpectralDatum(t=10.0, parity="even", coeffs=np.array([1.0] + [0.0] * 60))
-        f2 = SpectralDatum(t=10.0 + 5e-10, parity="odd", coeffs=np.array([1.0] + [0.0] * 60))
-        # direct synthetic amplitudes: grouping is exercised through amplitude()
-        ds = SpectralDataset(group="PSL2Z", forms=(f1, f2))
-        amps = amplitude(ds, Point(0.1, 2.0), Point(0.1, 2.0))
-        assert len(amps) == 1
 
 
 class TestPullback:
