@@ -55,8 +55,10 @@ def _point(text: str) -> Point:
     try:
         xs, ys = text.split(",")
         return Point(float(xs), float(ys))
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     except ValueError as exc:
-        raise ValidationError(f"bad point {text!r}, expected x,y") from exc
+        raise argparse.ArgumentTypeError(f"bad point {text!r}, expected x,y") from exc
 
 
 def _glue_points(argv: list[str]) -> list[str]:
@@ -229,9 +231,15 @@ def cmd_shc(args):
     _emit(out)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Rejects bad arguments with ValidationError, so they end in one `error:` line."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="hypcircle",
-                                description="hyperbolic lattice-point laboratory")
+    p = _Parser(prog="hypcircle", description="hyperbolic lattice-point laboratory")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_zw(sp, default_z="0,1", default_w="0,1"):

@@ -9,8 +9,8 @@ them per row.  The rows number about pi e^s / Im z, so z is first reduced to
 the fundamental domain (d(z, gamma w) = d(gamma^-1 z, w)); w is reduced too,
 as its orbit is the same set, which keeps c below about e^{s/2}.  One
 generator streams the rows and their translation intervals in c-chunks, so
-count_ball holds no array the size of the ball; list_distances sizes its
-distance list by count_ball, then fills it from a second pass.
+count_ball holds no array the size of the ball; list_distances grows its one
+distance list in place over the same single pass, up to DEFAULT_POINT_CAP.
 
 brute_force_count is an independent validation oracle that scans every
 integer matrix inside an entry bound.
@@ -188,11 +188,12 @@ def count_ball(spec: BallSpec, with_diagnostics: bool = False):
 def list_distances(spec: BallSpec) -> DistanceMultiset:
     """All orbit distances d(z, gamma w) <= s, sorted ascending with multiplicity."""
     spec = replace(spec, z=pullback(spec.z), w=pullback(spec.w))
-    total = count_ball(spec)  # sizes the list, so the point cap holds before it is allocated
-    if total > DEFAULT_POINT_CAP:
-        raise MemoryBudgetExceeded(f"{total} orbit points exceed cap {DEFAULT_POINT_CAP}")
-    z, dist, at = spec.z, np.empty(total), 0
+    z, dist, at = spec.z, np.empty(0), 0
     for x0, y0, k_lo, counts in _row_chunks(spec):
+        size = at + int(counts.sum())
+        if size > DEFAULT_POINT_CAP:
+            raise MemoryBudgetExceeded(f"at least {size} orbit points exceed cap {DEFAULT_POINT_CAP}")
+        dist.resize(size, refcheck=False)  # a realloc: numpy makes no second copy of the list
         for lo, hi in _chunks(counts):
             n = counts[lo:hi]
             # point i of row r is gamma0 w + k_lo[r] + i - (row r's first i)

@@ -99,6 +99,14 @@ def _grid_size(s_max: float, step: float) -> int:
     return math.floor(span) + 1
 
 
+def _reaching(distances: DistanceMultiset, s_max: float) -> np.ndarray:
+    """The sorted distances, refused unless they are listed to s_max: past their
+    radius a list misses orbit points, and N(s) would be silently short."""
+    if not distances.s >= s_max:
+        raise ValidationError(f"distances listed to radius {distances.s:g} cannot give N(s) up to {s_max:g}")
+    return distances.values
+
+
 def sample_error(z: Point, w: Point, s_max: float, step: float = DEFAULT_STEP,
                  distances: DistanceMultiset | None = None) -> ErrorSeries:
     """Normalized remainder e(s) = (N(s) - M(s)) e^{-s/2} on the grid k*step.
@@ -109,7 +117,7 @@ def sample_error(z: Point, w: Point, s_max: float, step: float = DEFAULT_STEP,
     grid = step * np.arange(_grid_size(s_max, step))
     if distances is None:
         distances = list_distances(BallSpec(z, w, s_max))
-    counts = np.searchsorted(distances.values, grid, side="right")
+    counts = np.searchsorted(_reaching(distances, s_max), grid, side="right")
     vals = (counts - main_term(grid)) * np.exp(-0.5 * grid)
     series = SampledSeries(0.0, step, vals)
     return ErrorSeries(series=series, alpha=None)
@@ -180,7 +188,7 @@ def exact_e_alpha(distances: DistanceMultiset, alpha: float, s_max: float,
     alpha = _as_alpha(alpha)
     n = _grid_size(s_max, step)
     grid = step * np.arange(n)
-    d = distances.values
+    d = _reaching(distances, s_max)
     # s_k <= d < s_{k+1}: sample j is reached when d < s_j, as in a direct sum
     k = np.searchsorted(grid, d, side="right") - 1
     near = k[:np.searchsorted(k, n - 1)] + 1  # k is sorted; k + 1 < n

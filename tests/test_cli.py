@@ -17,7 +17,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def run(capsys, *argv):
     try:
         code = main(list(argv))
-    except SystemExit as exc:  # argparse rejects malformed arguments this way
+    except SystemExit as exc:  # --help exits this way
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
@@ -94,8 +94,10 @@ class TestCount:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_too_many_candidate_rows_one_line(self):
-        # s = 29 is under the radius ceiling, but its 6.2e12 candidate rows
-        # would need 45 TiB; in a subprocess, so that nothing else reaches stderr
+        # s = 29 is under the radius ceiling, but its 6.2e12 candidate rows,
+        # streamed at a few million a second, would take weeks: the row cap
+        # guards the work before any row is formed; in a subprocess, so that
+        # nothing else reaches stderr
         proc = subprocess.run([sys.executable, "-m", "hypcircle.cli", "count", "--s", "29"],
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=120)
@@ -457,6 +459,27 @@ def test_other_group_spectral_file_rejected(capsys, tmp_path, command):
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
     assert "forms.txt:1:" in err and "PSL2Z" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("count", "--s", "2", "--z", "0,-1"), "argument --z: point must satisfy y > 0"),
+    (("count", "--s", "2", "--w", "1"), "bad point '1', expected x,y"),
+    (("count", "--s", "abc"), "invalid float value"),
+    (("count",), "required: --s"),
+    (("count", "--s", "1", "--bogus"), "unrecognized arguments: --bogus"),
+    (("nosuch",), "invalid choice: 'nosuch'"),
+])
+def test_argument_errors_one_line(capsys, argv, message):
+    # argparse printed its usage and "hypcircle count: error: ..." and read a
+    # point's own message as "invalid _point value"
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1 and message in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run(capsys, "count", "--help")
+    assert code == 0 and out.startswith("usage: hypcircle count") and err == ""
 
 
 @pytest.mark.parametrize("exc", [ValueError("bad\nvalue"), MemoryError()],

@@ -128,6 +128,19 @@ class TestLimitsAndErrors:
         with pytest.raises(MemoryBudgetExceeded):
             list_distances(BallSpec(I, I, 12.0))
 
+    def test_point_cap_bounds_the_held_list(self, monkeypatch, numpy_peak):
+        # at s = 12 the 255,265 candidate rows pass a cap of 300,000 but the
+        # 488,114 points do not: the list is refused before it grows past the
+        # cap, so it never holds more than 8 bytes per capped point
+        cap = 300_000
+        monkeypatch.setattr(counting, "DEFAULT_POINT_CAP", cap)
+
+        def refused():
+            with pytest.raises(MemoryBudgetExceeded, match="orbit points exceed cap 300000"):
+                list_distances(BallSpec(I, I, 12.0))
+
+        assert numpy_peak(refused) < cap * 8 + 16 * 2 ** 20
+
     def test_oracle_size_guard(self, monkeypatch):
         # the oracle's (2E+1)^2 pairs (b, c) are refused before any allocation
         spec = BallSpec(I, I, 2.0)
@@ -139,9 +152,9 @@ class TestLimitsAndErrors:
         assert brute_force_count(spec, bound) == count_ball(spec)
 
     def test_distance_list_peak_memory(self, numpy_peak):
-        # 488,114 points (3.7 MiB) at s = 12: a counting pass sizes the distance
-        # array, and the points are formed in chunks of about 2^16 straight
-        # into it: numpy's peak allocation reads 12.3 MiB
+        # 488,114 points (3.7 MiB) at s = 12: the distance array grows in place
+        # per row chunk, and the points are formed in chunks of about 2^16
+        # straight into it: numpy's peak allocation reads 11.4 MiB
         assert numpy_peak(lambda: list_distances(BallSpec(I, I, 12.0))) < 24 * 2 ** 20
 
     def test_count_peak_memory(self, numpy_peak):
@@ -345,6 +358,22 @@ class TestChunkedEnumeration:
             total_chunks = sum(int(counts.sum()) for *_, counts in counting._row_chunks(spec))
             assert total_chunks == count_ball(spec)
             assert count_ball(spec, with_diagnostics=True) == expected
+
+    def test_distance_list_walks_the_ball_once(self, monkeypatch):
+        # list_distances takes the row chunks once and needs no count to size its list
+        calls, row_chunks = [], counting._row_chunks
+
+        def counted(spec):
+            calls.append(spec)
+            return row_chunks(spec)
+
+        def no_count(*args, **kwargs):
+            raise AssertionError("list_distances called count_ball")
+
+        monkeypatch.setattr(counting, "_row_chunks", counted)
+        monkeypatch.setattr(counting, "count_ball", no_count)
+        assert list_distances(BallSpec(I, I, 8.0)).count == 8_874
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("spec", [BallSpec(I, I, 8.0),
                                       BallSpec(Point(0.2, 1.14), Point(-0.3, 1.1), 8.0)])

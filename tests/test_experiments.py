@@ -81,6 +81,22 @@ class TestSampleError:
         s = float(np.std(vals[sel]))
         assert abs(m) <= 0.5 * s
 
+    def test_short_distance_list_rejected(self):
+        # a list to s = 8 misses every orbit point past 8: taken for s_max = 10
+        # it gave e(10) = -385.4, where the list to 10 gives -1.87
+        short = list_distances(BallSpec(I, I, 8.0))
+        for call in (lambda: sample_error(I, I, 10.0, distances=short),
+                     lambda: exact_e_alpha(short, 0.5, 10.0),
+                     lambda: sample_e_alpha(I, I, 0.5, 10.0, distances=short),
+                     lambda: hybrid_run(I, I, "inv-sqrt", [6.0, 9.0, 10.0], distances=short)):
+            with pytest.raises(ValidationError, match="radius 8 "):
+                call()
+        full = list_distances(BallSpec(I, I, 10.0))
+        assert sample_error(I, I, 10.0, distances=full).values[-1] == pytest.approx(-1.87, abs=0.01)
+        # a longer list serves any smaller radius
+        assert np.array_equal(sample_error(I, I, 8.0, distances=full).values,
+                              sample_error(I, I, 8.0, distances=short).values)
+
 
 class TestSampleEAlpha:
     def test_order_one_matches_quadrature(self, distances_14):
