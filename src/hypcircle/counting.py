@@ -215,12 +215,17 @@ def required_entry_bound(spec: BallSpec) -> int:
     Any gamma with d(z, gamma w) <= s satisfies
     ||gamma||_F <= sigma(g_z) sigma(g_w) sqrt(2 cosh s), and sigma(g_v)^2 <=
     2 cosh d(i, v) for the standard upper-triangular transporter g_v.
+    RadiusTooLarge past DEFAULT_S_MAX, ValidationError where the bound overflows.
     """
     z, w = spec.z, spec.w
-    cosh_di_z = (z.x ** 2 + z.y ** 2 + 1.0) / (2.0 * z.y)
-    cosh_di_w = (w.x ** 2 + w.y ** 2 + 1.0) / (2.0 * w.y)
-    bound = math.sqrt(8.0 * cosh_di_z * cosh_di_w * math.cosh(spec.s))
-    return int(math.ceil(bound * (1.0 + 1e-9)))
+    if spec.s > DEFAULT_S_MAX:
+        raise RadiusTooLarge(f"radius {spec.s} exceeds ceiling {DEFAULT_S_MAX}")
+    cosh_di_z = (z.x * z.x + z.y * z.y + 1.0) / (2.0 * z.y)
+    cosh_di_w = (w.x * w.x + w.y * w.y + 1.0) / (2.0 * w.y)
+    bound = math.sqrt(8.0 * cosh_di_z * cosh_di_w * math.cosh(spec.s)) * (1.0 + 1e-9)
+    if not math.isfinite(bound):
+        raise ValidationError(f"entry bound for Im z = {z.y:g}, Im w = {w.y:g} overflows")
+    return math.ceil(bound)
 
 
 def brute_force_count(spec: BallSpec, entry_bound: int) -> int:

@@ -93,6 +93,8 @@ def _grid_size(s_max: float, step: float) -> int:
         raise ValidationError(f"step must be positive and finite, got {step}")
     if not math.isfinite(s_max):
         raise ValidationError(f"radius {s_max} is not finite")
+    if s_max < 0.0:
+        raise ValidationError(f"radius must be >= 0, got {s_max}")
     span = s_max / step + 1e-9
     if not span < DEFAULT_POINT_CAP:
         raise MemoryBudgetExceeded(f"step {step} on [0, {s_max}] exceeds {DEFAULT_POINT_CAP} samples")
@@ -462,10 +464,10 @@ def hybrid_run(z: Point, w: Point, schedule: str, T_values, step: float = DEFAUL
                distances: DistanceMultiset | None = None) -> list[HybridPoint]:
     """Variances over the windows [0, T] along a vanishing-order schedule alpha(T).
 
-    schedule names an entry of _SCHEDULES.  It must have alpha(T) decreasing
-    and the condition quantity 1/(alpha e^{2 T alpha}) at most _CONDITION_MAX
-    at every listed T (checked at T >= 9 where the asymptotic regime is meant);
-    otherwise ScheduleViolation is raised.
+    schedule names an entry of _SCHEDULES, each strictly decreasing in T.
+    The T must be distinct, and the condition quantity 1/(alpha e^{2 T alpha})
+    at most _CONDITION_MAX at every listed T (checked at T >= 9 where the
+    asymptotic regime is meant); otherwise ScheduleViolation is raised.
     """
     if schedule not in _SCHEDULES:
         raise ValidationError(f"unknown schedule {schedule!r}, expected one of {sorted(_SCHEDULES)}")
@@ -473,9 +475,9 @@ def hybrid_run(z: Point, w: Point, schedule: str, T_values, step: float = DEFAUL
     T_values = sorted(float(T) for T in T_values)
     if not all(T > 0.0 for T in T_values):
         raise ValidationError(f"window lengths T must be positive, got {T_values}")
+    if len(set(T_values)) < len(T_values):
+        raise ScheduleViolation(f"window lengths T must be distinct, got {T_values}")
     alphas = [sched(T) for T in T_values]
-    if any(a2 >= a1 for a1, a2 in zip(alphas, alphas[1:])):
-        raise ScheduleViolation("schedule must have decreasing alpha(T)")
     conds = [schedule_condition(a, T) for a, T in zip(alphas, T_values)]
     for T, cond in zip(T_values, conds):
         if T >= 9.0 and cond > _CONDITION_MAX:

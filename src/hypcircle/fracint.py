@@ -33,8 +33,11 @@ __all__ = [
 # Default grid spacing; quoted accuracy budgets elsewhere assume this value.
 DEFAULT_STEP = 1.0 / 512.0
 
-# Largest s - d frac_indicator_exp accepts: lower_incomplete_exp overflows from 1415.
+# Largest s - d frac_indicator_exp accepts: lower_incomplete_exp overflows from 1418.
 _INDICATOR_X_MAX = 1400.0
+
+# Nodes per panel of frac_integral_at; shc_frac lays its radii on the same panels.
+_PANEL_NODES = 32
 
 
 def _as_alpha(order) -> float:
@@ -99,19 +102,19 @@ def frac_integrate(series: SampledSeries, order) -> SampledSeries:
 def frac_integral_at(f, order, s: float, panels: int) -> float:
     """(1/Gamma(a)) integral_0^s f(x) (s-x)^(a-1) dx for a smooth, vectorized f.
 
-    32-point Gauss-Legendre times the kernel on each of `panels` equal panels
-    but the last, whose singular kernel is the weight (1-y)^(a-1) of 32-point
-    Gauss-Jacobi; f is called once per panel, and h^a factored out so s = 0 gives 0.
+    _PANEL_NODES-point Gauss-Legendre times the kernel on `panels` equal panels
+    but the last, whose singular kernel is the weight (1-y)^(a-1) of as many
+    Gauss-Jacobi nodes; f is called once per panel, and h^a factored out so s = 0 gives 0.
     """
     from scipy.special import roots_jacobi
 
     alpha = _as_alpha(order)
     h = s / panels
-    x, w = gauss_legendre(32)
+    x, w = gauss_legendre(_PANEL_NODES)
     acc = 0.0
     for k in range(panels - 1):
         acc += np.dot(w * (panels - k - x) ** (alpha - 1.0), f(h * (k + x)))
-    y, wj = roots_jacobi(32, alpha - 1.0, 0.0)
+    y, wj = roots_jacobi(_PANEL_NODES, alpha - 1.0, 0.0)
     acc += np.dot(wj, f(h * (panels - 0.5 + 0.5 * y))) / 2.0 ** alpha
     return float(h ** alpha * acc / math.gamma(alpha))
 

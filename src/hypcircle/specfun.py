@@ -2,10 +2,12 @@
 
 K-Bessel with imaginary order, the Gauss 2F1 series on (-1, 1), and the
 exponential-kernel incomplete integral, all in double precision.  The
-K-Bessel is one trapezoid rule on its integral representation along a line
-shifted towards the saddle (Gil, Segura and Temme, ACM TOMS 30, 2004),
-vectorized over x: callers pass every x of a Fourier row, a quadrature or
-a linear system in one call, so the cost is the nodes, not the calls.
+incomplete integral is Kummer's function, SciPy's hyp1f1, imported on the
+first call.  The K-Bessel is one trapezoid rule on its integral
+representation along a line shifted towards the saddle (Gil, Segura and
+Temme, ACM TOMS 30, 2004), vectorized over x: callers pass every x of a
+Fourier row, a quadrature or a linear system in one call, so the cost is
+the nodes, not the calls.
 """
 
 from __future__ import annotations
@@ -127,35 +129,18 @@ def gauss_2f1(a: complex, b: complex, c: complex, x: float) -> complex:
 def lower_incomplete_exp(alpha: float, X) -> np.ndarray | float:
     """integral_0^X exp(u/2) u^(alpha-1) du for X >= 0, vectorized in X.
 
-    Ascending series X^alpha * sum_k X^k / (2^k k! (alpha + k)); all terms
-    positive, no cancellation, converges for every finite X.  The ratio of
-    a term to the partial sum grows with X, so the series stops once it has
-    converged at the largest X, and at every X in case the largest overflowed
-    to inf.  The terms peak near k = X/2 and are done within
-    X/2 + 10 sqrt(X) + 10 terms; from X = 1415 on the sum overflows within 700.
+    Kummer's function: X^alpha/alpha * M(alpha, alpha+1, X/2) (DLMF 13.4.1
+    with b = a + 1), M being SciPy's hyp1f1.  The integral rises with X and
+    overflows to inf from X = 1418 (alpha = 1) to 1433 (alpha -> 0), so X is
+    cut at 1500, which keeps M off the huge arguments where it stalls.
     """
+    from scipy.special import hyp1f1  # here, so that importing hypcircle skips SciPy
+
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"order must lie in (0, 1], got {alpha}")
     X_arr = np.asarray(X, dtype=float)
     if not np.all(X_arr >= 0.0):
         raise DomainError("X must be >= 0 and not NaN")
-    if X_arr.size == 0:
-        return np.zeros(X_arr.shape)
-    scalar = X_arr.ndim == 0
-    X_arr = np.atleast_1d(X_arr)
-    top = X_arr.argmax()
-    acc = np.full(X_arr.shape, 1.0 / alpha)
-    term = np.full(X_arr.shape, 1.0 / alpha)
-    half_x = 0.5 * X_arr
-    for k in range(1, 400 + int(min(X_arr.flat[top], 1420.0))):
-        term *= half_x
-        term *= alpha + k - 1
-        term /= k * (alpha + k)
-        acc += term
-        if term.flat[top] <= 1e-17 * acc.flat[top] and np.all(term <= 1e-17 * acc):
-            break
-    else:
-        raise NonConvergence(f"incomplete exponential series did not converge at X = {X_arr.flat[top]}")
-    out = np.power(X_arr, alpha) * acc
-    out[X_arr == 0.0] = 0.0
-    return float(out[0]) if scalar else out
+    X_arr = np.minimum(X_arr, 1500.0)
+    out = X_arr ** alpha / alpha * hyp1f1(alpha, alpha + 1.0, 0.5 * X_arr)
+    return float(out) if out.ndim == 0 else out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ArgumentOutOfRange, DomainError
-from ..fracint import _as_alpha, frac_integral_at
+from ..fracint import _PANEL_NODES, _as_alpha, frac_integral_at
 from ..specfun import gauss_2f1, gauss_legendre
 
 __all__ = [
@@ -37,8 +37,8 @@ _MIN_RADIUS = 0.01
 _SHC_FRAC_EVALUATIONS = 1 << 26
 
 
-def _shc_panels(s: float, t: float) -> tuple[int, int]:
-    """Panel count and per-panel order; ~4 oscillations per 32-point panel.
+def _shc_panels(s: float, t: float) -> int:
+    """Panel count; ~4 oscillations per panel of _PANEL_NODES points.
 
     DomainError past a ceiling of 4096 panels (|t| s ~ 1e5), far above the
     t <= 100, s <= 10 the experiments use.
@@ -47,7 +47,7 @@ def _shc_panels(s: float, t: float) -> tuple[int, int]:
     if max(oscillations / 4.0, s / 3.0) >= 4096:
         raise DomainError(f"|t| s = {abs(t) * s:.3g} needs more than 4096 quadrature panels")
     panels = max(2, int(oscillations / 4.0) + 1, int(s / 3.0) + 1)
-    return panels, 32
+    return panels
 
 
 def shc_direct(s, t: float, refine: int = 0):
@@ -70,9 +70,8 @@ def shc_direct(s, t: float, refine: int = 0):
     if np.any(bad):
         raise DomainError(f"requires 0 < s <= {_MAX_RADIUS}, where cosh overflows; "
                           f"got {s_pos[bad][0]}")
-    panels, order = _shc_panels(float(np.max(s_pos, initial=0.0)), t)
-    panels <<= refine
-    x, wq = gauss_legendre(order)
+    panels = _shc_panels(float(np.max(s_pos, initial=0.0)), t) << refine
+    x, wq = gauss_legendre(_PANEL_NODES)
     # panels graded so each carries equal phase: uniform in r/s = 1 - xi^2
     edges = np.sqrt(np.linspace(0.0, 1.0, panels + 1))
     xi = (edges[:-1, None] + np.diff(edges)[:, None] * x[None, :]).ravel()
@@ -171,9 +170,9 @@ def shc_frac(s: float, t: float, order) -> ShcFracResult:
     if not (math.isfinite(t) and t != 0.0):
         raise DomainError(f"requires a finite t != 0, got {t}")
     alpha = _as_alpha(order)
-    panels, per_panel = _shc_panels(s, t)
-    # each of the panels x 32 radii meets at most panels x per_panel transform nodes
-    if (panels * per_panel) ** 2 > _SHC_FRAC_EVALUATIONS:
+    panels = _shc_panels(s, t)
+    # each of the panels x _PANEL_NODES radii meets at most as many transform nodes
+    if (panels * _PANEL_NODES) ** 2 > _SHC_FRAC_EVALUATIONS:
         raise DomainError(f"|t| s = {abs(t) * s:.3g} needs over {_SHC_FRAC_EVALUATIONS} evaluations")
     value = frac_integral_at(lambda x: shc_direct(x, t), alpha, s, panels)
     asym = (r_alpha(t, alpha) * cmath.exp(1j * t * s)).real

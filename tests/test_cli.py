@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from hypcircle.cli import _emit, _write_csv, main
+from hypcircle.counting import BallSpec, list_distances, save_distances
 from hypcircle.errors import ValidationError
+from hypcircle.geometry import Point
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -371,15 +373,19 @@ class TestJsonCommands:
     ["shc", "--s", "100", "--t", "1000", "--alpha", "0.5"],
     ["count", "--w", "0,1e-200", "--s", "3"],
     ["count", "--z", "0,1e308", "--s", "3"],
+    ["count", "--s", "inf", "--oracle"],
+    ["count", "--s", "1000", "--oracle"],
+    ["count", "--z", "0,1e300", "--s", "3", "--oracle"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_empty_window_rejected(capsys, tmp_path, argv):
     # a window with fewer than two samples, a single scan point, an infinite
     # length, a step that is not positive and finite or gives more samples
     # than the cap, a NaN or huge spectral parameter, a radius where cosh
     # overflows, a fractional transform over its node budget, a NaN cut-off,
-    # fewer than one histogram bin, or a point so near a cusp or so high that
-    # its reduction underflows or its translates pass 2^50 ends with exit 2 and
-    # one line, never NaN on stdout, a warning or a traceback
+    # fewer than one histogram bin, a point so near a cusp or so high that
+    # its reduction underflows or its translates pass 2^50, or an oracle whose
+    # radius passes the ceiling or whose entry bound overflows ends with exit 2
+    # and one line, never NaN on stdout, a warning or a traceback
     if argv[0] == "moments":
         # step 1/512: [1e-5, 2e-5] holds no sample, [1e-3, 2e-3] one
         series = tmp_path / "series.csv"
@@ -475,6 +481,23 @@ def test_argument_errors_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hybrid", "--Ts", "6,6,9"], "window lengths T must be distinct, got [6.0, 6.0, 9.0]"),
+    (["error-term", "--smax", "-1", "--cache-in"], "radius must be >= 0, got -1.0"),
+], ids=["repeated_T", "negative_radius_cache"])
+def test_refusal_names_its_cause(capsys, tmp_path, argv, message):
+    # a repeated T and a negative radius read with a cache are refused by name,
+    # not as a schedule that does not decrease or as an empty array of values
+    if argv[0] == "error-term":
+        cache = tmp_path / "c.bin"
+        save_distances(cache, list_distances(BallSpec(Point(0.0, 1.0), Point(0.0, 1.0), 2.0)))
+        argv = argv + [str(cache), "--out", str(tmp_path / "e.csv")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.strip().endswith(message)
 
 
 def test_help_exits_zero(capsys):

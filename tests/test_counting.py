@@ -123,6 +123,14 @@ class TestLimitsAndErrors:
         with pytest.raises(RadiusTooLarge):
             list_distances(BallSpec(I, I, 31.0))
 
+    def test_oracle_bound_refused_before_overflow(self):
+        # refused before math.cosh, the squares or math.ceil overflow
+        for s in (1000.0, math.inf):
+            with pytest.raises(RadiusTooLarge):
+                required_entry_bound(BallSpec(I, I, s))
+        with pytest.raises(ValidationError, match="overflows"):
+            required_entry_bound(BallSpec(Point(0.0, 1e300), I, 3.0))
+
     def test_point_cap(self, monkeypatch):
         monkeypatch.setattr(counting, "DEFAULT_POINT_CAP", 10)
         with pytest.raises(MemoryBudgetExceeded):

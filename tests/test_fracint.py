@@ -174,8 +174,8 @@ class TestFracIndicatorExp:
             assert frac_indicator_exp(d, a, s) == pytest.approx(ref, rel=1e-10)
 
     def test_overflow_limit(self):
-        # the integral, of size e^{X/2}, overflows from X = s - d = 1415, where
-        # the result came out inf or NaN; below the limit it matches mpmath
+        # the integral, of size e^{X/2}, overflows from X = s - d = 1418 (alpha
+        # = 1) to 1433, so past 1400 it is refused; below the limit it matches mpmath
         import mpmath as mp
         a, X = 0.5, 1400.0
         with mp.workdps(30):

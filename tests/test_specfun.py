@@ -205,22 +205,37 @@ class TestLowerIncompleteExp:
                             / alpha)
             assert lower_incomplete_exp(alpha, X) == pytest.approx(ref, rel=1e-11)
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.25, 0.5, 0.75, 1.0])
+    def test_kummer_near_and_far_field(self, alpha):
+        # the exact path evaluates L at X in (0, 1/512] in its near field and
+        # at X in [1/512, s_max] for its Chebyshev kernel; seeded X in both
+        # ranges (down to 1e-12) against Kummer's M at 40 digits
+        rng = np.random.default_rng(2024)
+        X = np.concatenate([(1.0 - rng.random(20)) / 512.0,
+                            10.0 ** rng.uniform(-12.0, math.log10(1.0 / 512.0), 10),
+                            rng.uniform(1.0 / 512.0, 30.0, 30)])
+        got = lower_incomplete_exp(alpha, X)
+        with mp.workdps(40):
+            a = mp.mpf(alpha)
+            ref = np.array([float(mp.mpf(x) ** a / a * mp.hyp1f1(a, a + 1, mp.mpf(x) / 2))
+                            for x in X])
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
+
     @pytest.mark.parametrize("X", [700.0, 1000.0])
     def test_large_argument(self, X):
-        # the terms peak near k = X/2; a fixed 400-term cap stopped short,
-        # 4.1e-3 off at X = 700 and 1.85e210 against 8.89e215 at X = 1000
+        # near the overflow limit, where L ~ e^{X/2}
         for alpha in (0.05, 0.5, 1.0):
             with mp.workdps(30):
                 ref = float(mp.mpf(X) ** alpha / alpha * mp.hyp1f1(alpha, alpha + 1, X / 2))
             assert lower_incomplete_exp(alpha, X) == pytest.approx(ref, rel=1e-12)
 
     def test_overflow_is_inf(self):
-        # e^{X/2} overflows past X = 1420: inf there, and the series still
-        # runs until the smaller X beside it has converged
+        # L overflows from X = 1418 (alpha = 1) to 1433 (alpha -> 0): inf there,
+        # however large X is, and the finite value beside it is unchanged
         with np.errstate(over="ignore"):
-            got = lower_incomplete_exp(0.5, np.array([1000.0, 1500.0]))
+            got = lower_incomplete_exp(0.5, np.array([1000.0, 1500.0, 1e300, math.inf]))
         assert got[0] == pytest.approx(lower_incomplete_exp(0.5, 1000.0), rel=1e-14)
-        assert got[1] == math.inf
+        assert np.all(got[1:] == math.inf)
 
     def test_vectorized_matches_scalar(self):
         X = np.array([0.0, 0.3, 2.0, 11.0])
@@ -229,14 +244,14 @@ class TestLowerIncompleteExp:
             assert vec[i] == pytest.approx(lower_incomplete_exp(0.4, float(x)), rel=1e-14)
 
     def test_array_shapes(self):
-        # the series stops on the largest element, wherever it sits
+        # a 2-d array keeps its shape, elementwise as if flat; an empty one too
         X = np.array([[11.0, 0.3], [0.0, 2.0]])
         assert np.array_equal(lower_incomplete_exp(0.4, X),
                               lower_incomplete_exp(0.4, X.ravel()).reshape(2, 2))
         assert lower_incomplete_exp(0.4, np.empty(0)).shape == (0,)
 
     def test_domain(self):
-        # a NaN would never converge; it was summed to the cap and returned as NaN
+        # a negative X or a NaN is refused, not returned as NaN
         for X in (-1.0, math.nan, np.array([2.0, math.nan])):
             with pytest.raises(DomainError):
                 lower_incomplete_exp(0.5, X)

@@ -222,7 +222,7 @@ class TestShcFrac:
         for t in np.geomspace(5.0, 100.0, 9):
             t = float(t)
             value = shc_frac(s, t, alpha).value
-            panels = 2 * _shc_panels(s, t)[0]
+            panels = 2 * _shc_panels(s, t)
             doubled = frac_integral_at(lambda x: shc_direct(x, t), alpha, s, panels)
             assert value == pytest.approx(doubled, rel=1e-9), t
 
