@@ -13,7 +13,7 @@ count_ball holds no array the size of the ball; list_distances grows its one
 distance list in place over the same single pass, up to DEFAULT_POINT_CAP.
 
 brute_force_count is an independent validation oracle that scans every
-integer matrix inside an entry bound.
+canonical integer matrix inside an entry bound.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ _BOUNDARY_GUARD = 1e-12
 
 # Candidate rows, or orbit points, the ball stage forms per chunk, so its temporaries stay small.
 _CHUNK_POINTS = 2 ** 16
+
+# Matrices brute_force_count may visit, E (2E + 1)^2 at entry bound E.
+_ORACLE_WORK_CAP = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -231,11 +234,14 @@ def required_entry_bound(spec: BallSpec) -> int:
 def brute_force_count(spec: BallSpec, entry_bound: int) -> int:
     """Exact ball count by exhaustive scan of all matrices with entries <= bound.
 
-    Completely independent of the row/translation enumeration; cost grows
-    like bound^3, so keep s small.  Raises BoundInsufficient (reporting the
-    required bound) when the bound cannot be proven to contain the ball, and
-    MemoryBudgetExceeded when its (2 bound + 1)^2 pairs (b, c) exceed
-    DEFAULT_POINT_CAP (bound 5,962 at s = 16, z = w = i).
+    Independent of the row/translation enumeration: it visits every canonical
+    PSL(2,Z) matrix (c > 0, or c = 0 with d > 0) with entries at most E =
+    bound, keeping for each c = 1 .. E the (a, d) with c | ad - 1 and
+    |b| <= E; c = 0 leaves the translations w + b.  Raises BoundInsufficient
+    (reporting the required bound) when the bound cannot be proven to
+    contain the ball, and MemoryBudgetExceeded, before anything is
+    allocated, when its E (2E + 1)^2 matrices pass _ORACLE_WORK_CAP
+    (E <= 644, about 7 s).
     """
     required = required_entry_bound(spec)
     if entry_bound < required:
@@ -244,31 +250,23 @@ def brute_force_count(spec: BallSpec, entry_bound: int) -> int:
             required=required,
         )
     E = int(entry_bound)
-    # each a scans (2E+1)^2 pairs (b, c) in several int64 arrays of that size
-    if (2 * E + 1) ** 2 > DEFAULT_POINT_CAP:
+    work = E * (2 * E + 1) ** 2
+    if work > _ORACLE_WORK_CAP:
         raise MemoryBudgetExceeded(
-            f"oracle entry bound {E} scans {(2 * E + 1) ** 2} pairs (b, c), past cap {DEFAULT_POINT_CAP}")
+            f"oracle entry bound {E} visits {work} matrices, past cap {_ORACLE_WORK_CAP}")
     cosh_s_eff = math.cosh(spec.s) * (1.0 + _BOUNDARY_GUARD)
     zc, wc = spec.z.z, spec.w.z
-    total = 0
-    bc_range = np.arange(-E, E + 1, dtype=np.int64)
-    bb, cc = np.meshgrid(bc_range, bc_range, indexing="ij")
-    bb, cc = bb.ravel(), cc.ravel()
-    # a = 0: -bc = 1, canonical row has c > 0, d is a free entry
-    d_free = np.arange(-E, E + 1, dtype=np.int64)
-    gw = (0 * wc - 1) / (1 * wc + d_free)
-    total += int(np.count_nonzero(_cosh_dist(zc, gw) <= cosh_s_eff))
-    for a in range(-E, E + 1):
-        if a == 0:
-            continue
-        num = 1 + bb * cc
-        ok = num % a == 0
-        b, c_, dd = bb[ok], cc[ok], num[ok] // a
-        ok2 = (np.abs(dd) <= E) & ((c_ > 0) | ((c_ == 0) & (dd > 0)))
-        b, c_, dd = b[ok2], c_[ok2], dd[ok2]
-        if b.size == 0:
-            continue
-        gw = (a * wc + b) / (c_ * wc + dd)
+    # c = 0: ad = 1 with d > 0 forces a = d = 1, the translations w + b
+    gw = wc + np.arange(-E, E + 1)
+    total = int(np.count_nonzero(_cosh_dist(zc, gw) <= cosh_s_eff))
+    box = np.arange(-E, E + 1, dtype=np.int64)
+    a, d = (m.ravel() for m in np.meshgrid(box, box, indexing="ij"))
+    ad1 = a * d - 1
+    for c in range(1, E + 1):
+        ok = ad1 % c == 0
+        b = ad1[ok] // c
+        keep = np.abs(b) <= E
+        gw = (a[ok][keep] * wc + b[keep]) / (c * wc + d[ok][keep])
         total += int(np.count_nonzero(_cosh_dist(zc, gw) <= cosh_s_eff))
     return total
 

@@ -366,11 +366,9 @@ def pointwise_scan(err: ErrorSeries) -> PointwiseScan:
 # limiting distribution
 # ---------------------------------------------------------------------------
 
-# Default sample step of the synthetic series; samples per block of the
-# phasor product, and blocks per chunk (at most 2 M samples of work at a time).
+# Default sample step of the synthetic series; samples per block of the phasor product.
 SYNTHETIC_STEP = 1.0 / 256.0
 _SYNTHETIC_BLOCK = 2048
-_SYNTHETIC_CHUNK_BLOCKS = 2_000_000 // _SYNTHETIC_BLOCK
 
 
 def synthetic_series(amplitudes, order, L: float, step: float = SYNTHETIC_STEP) -> ErrorSeries:
@@ -378,8 +376,8 @@ def synthetic_series(amplitudes, order, L: float, step: float = SYNTHETIC_STEP) 
 
     Sample b B + k (block b of B samples, offset k) is
     sum_j Re(S[b, j] P[j, k]) with S[b, j] = c_j e^{i t_j s_b} at the block
-    start s_b = b B step and P[j, k] = e^{i t_j k step}, built once. A chunk
-    of blocks is then one real matrix product [Re S, Im S] @ [Re P; -Im P]
+    start s_b = b B step and P[j, k] = e^{i t_j k step}, built once. The
+    series is then one real matrix product [Re S, Im S] @ [Re P; -Im P]
     in place of a cos and a sin per sample and term. Every block start takes
     its phase from its own s_b, never from the previous block, so rounding
     does not build up: the error is the rounding of the phase t_j s, as in
@@ -393,11 +391,8 @@ def synthetic_series(amplitudes, order, L: float, step: float = SYNTHETIC_STEP) 
     phasors = np.exp(1j * np.outer(t, step * np.arange(_SYNTHETIC_BLOCK)))
     rhs = np.concatenate([phasors.real, -phasors.imag])
     blocks = -(-n // _SYNTHETIC_BLOCK)
-    out = np.empty((blocks, _SYNTHETIC_BLOCK))
-    for lo in range(0, blocks, _SYNTHETIC_CHUNK_BLOCKS):
-        hi = min(lo + _SYNTHETIC_CHUNK_BLOCKS, blocks)
-        starts = c * np.exp(1j * np.outer(step * (_SYNTHETIC_BLOCK * np.arange(lo, hi)), t))
-        np.matmul(np.concatenate([starts.real, starts.imag], axis=1), rhs, out=out[lo:hi])
+    starts = c * np.exp(1j * np.outer(step * (_SYNTHETIC_BLOCK * np.arange(blocks)), t))
+    out = np.concatenate([starts.real, starts.imag], axis=1) @ rhs
     return ErrorSeries(series=SampledSeries(0.0, step, out.ravel()[:n]), alpha=alpha)
 
 
@@ -421,8 +416,7 @@ def distribution_estimate(err: ErrorSeries, bins="fd") -> DistributionEstimate:
     vals = err.values
     if vals.size < 2:
         raise ValidationError(f"a distribution estimate needs at least 2 samples, got {vals.size}")
-    edges = np.histogram_bin_edges(vals, bins=bins)
-    counts, edges = np.histogram(vals, bins=edges)
+    counts, edges = np.histogram(vals, bins=bins)
     half = vals.size // 2
     a = np.sort(vals[:half])
     b = np.sort(vals[half:])

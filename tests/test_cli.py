@@ -89,8 +89,8 @@ class TestCount:
         assert code == 2
 
     def test_oracle_past_cap_one_line(self, capsys):
-        # at s = 16 the oracle would scan 142 M pairs (b, c) per a, about
-        # 1 GiB per int64 array
+        # at s = 16 the oracle's entry bound 5,962 would visit 8.5e11
+        # matrices, about 790 times its cap
         code, out, err = run(capsys, "count", "--s", "16", "--oracle")
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
@@ -376,6 +376,7 @@ class TestJsonCommands:
     ["count", "--s", "inf", "--oracle"],
     ["count", "--s", "1000", "--oracle"],
     ["count", "--z", "0,1e300", "--s", "3", "--oracle"],
+    ["count", "--z", "0,1e5", "--s", "3", "--oracle"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_empty_window_rejected(capsys, tmp_path, argv):
     # a window with fewer than two samples, a single scan point, an infinite
@@ -384,8 +385,9 @@ def test_empty_window_rejected(capsys, tmp_path, argv):
     # overflows, a fractional transform over its node budget, a NaN cut-off,
     # fewer than one histogram bin, a point so near a cusp or so high that
     # its reduction underflows or its translates pass 2^50, or an oracle whose
-    # radius passes the ceiling or whose entry bound overflows ends with exit 2
-    # and one line, never NaN on stdout, a warning or a traceback
+    # radius passes the ceiling, whose entry bound overflows or whose scan
+    # passes its work cap ends with exit 2 and one line, never NaN on stdout,
+    # a warning or a traceback
     if argv[0] == "moments":
         # step 1/512: [1e-5, 2e-5] holds no sample, [1e-3, 2e-3] one
         series = tmp_path / "series.csv"

@@ -71,6 +71,13 @@ class TestOracleEquivalence:
             spec = random_spec(rng)
             assert list_distances(spec).count == count_ball(spec)
 
+    @pytest.mark.parametrize("spec, n", [
+        (BallSpec(I, I, 9.0), 24194),                # entry bound 181
+        (BallSpec(Point(0.3, 4.0), I, 3.0), 54),     # high centre: the c = 0 translations lead
+    ], ids=["i-i-s9", "high-centre-s3"])
+    def test_past_small_radii(self, spec, n):
+        assert brute_force_count(spec, required_entry_bound(spec)) == count_ball(spec) == n
+
     def test_bound_insufficiency_reported(self):
         spec = BallSpec(I, I, 4.0)
         with pytest.raises(BoundInsufficient) as err:
@@ -149,15 +156,28 @@ class TestLimitsAndErrors:
 
         assert numpy_peak(refused) < cap * 8 + 16 * 2 ** 20
 
-    def test_oracle_size_guard(self, monkeypatch):
-        # the oracle's (2E+1)^2 pairs (b, c) are refused before any allocation
+    def test_oracle_size_guard(self, monkeypatch, numpy_peak):
+        # the oracle's E (2E+1)^2 matrices are refused one past the cap, before
+        # any array is allocated (one (a, d) box array at E = 64 is 133 kB; the
+        # refusal peaks near 1.2 kB), and scanned at the cap
         spec = BallSpec(I, I, 2.0)
-        bound = required_entry_bound(spec)
-        monkeypatch.setattr(counting, "DEFAULT_POINT_CAP", (2 * bound + 1) ** 2 - 1)
-        with pytest.raises(MemoryBudgetExceeded, match="oracle"):
-            brute_force_count(spec, bound)
-        monkeypatch.setattr(counting, "DEFAULT_POINT_CAP", (2 * bound + 1) ** 2)
+        bound = 64
+        work = bound * (2 * bound + 1) ** 2
+        monkeypatch.setattr(counting, "_ORACLE_WORK_CAP", work - 1)
+
+        def refused():
+            with pytest.raises(MemoryBudgetExceeded, match="oracle"):
+                brute_force_count(spec, bound)
+
+        assert numpy_peak(refused) < 16 * 2 ** 10
+        monkeypatch.setattr(counting, "_ORACLE_WORK_CAP", work)
         assert brute_force_count(spec, bound) == count_ball(spec)
+
+    def test_oracle_work_bound(self):
+        # 2^30 matrices admit entry bounds up to 644 (about 7 s); 645 visits
+        # 1,075,009,245 and is refused at once, even where the ball is tiny
+        with pytest.raises(MemoryBudgetExceeded, match="645 visits 1075009245 matrices"):
+            brute_force_count(BallSpec(I, I, 2.0), 645)
 
     def test_distance_list_peak_memory(self, numpy_peak):
         # 488,114 points (3.7 MiB) at s = 12: the distance array grows in place

@@ -318,7 +318,8 @@ def model_cases(dataset_session):
 
 class TestSyntheticBlocks:
     B = experiments._SYNTHETIC_BLOCK
-    CHUNK = experiments._SYNTHETIC_CHUNK_BLOCKS * experiments._SYNTHETIC_BLOCK
+    # a block edge near 2 M samples, deep in the one product
+    DEEP = 976 * B
 
     @staticmethod
     def _bound(amps, alpha, s_max):
@@ -331,7 +332,7 @@ class TestSyntheticBlocks:
     @pytest.mark.parametrize("L,step", [
         (100.0, 1.0 / 64.0),    # 6,401 samples: three blocks and a partial one
         (10.0, 1.0 / 64.0),     # 641 samples: one partial block
-        (8000.0, 1.0 / 256.0),  # 2,048,001 samples: two chunks
+        (8000.0, 1.0 / 256.0),  # 2,048,001 samples: 1,001 blocks
     ])
     def test_matches_scalar_form(self, model_cases, case, L, step):
         amps = model_cases[case]
@@ -339,8 +340,8 @@ class TestSyntheticBlocks:
         n = int(round(L / step)) + 1
         assert ser.values.size == n and n % self.B != 0
         rng = np.random.default_rng(3)
-        idx = np.array([0, self.B - 1, self.B, self.B + 1, self.CHUNK - 1, self.CHUNK,
-                        self.CHUNK + 1, n - 1] + list(rng.integers(0, n, 40)))
+        idx = np.array([0, self.B - 1, self.B, self.B + 1, self.DEEP - 1, self.DEEP,
+                        self.DEEP + 1, n - 1] + list(rng.integers(0, n, 40)))
         idx = np.unique(idx[idx < n])
         ref = f_alpha_sum(amps, 0.25, step * idx)
         assert np.max(np.abs(ser.values[idx] - ref)) <= self._bound(amps, 0.25, L)
