@@ -39,8 +39,9 @@ from .experiments import (
     variance_report,
     window_variance,
 )
-from .fracint import DEFAULT_STEP, SampledSeries, _as_alpha
+from .fracint import DEFAULT_STEP, SampledSeries
 from .geometry import Point
+from .specfun import _as_alpha
 from .spectral import (
     amplitude,
     bundled_dataset,

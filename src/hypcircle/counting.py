@@ -70,6 +70,8 @@ class DistanceMultiset:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
+        if not 0.0 <= self.s < math.inf:
+            raise ValidationError(f"radius must be finite and >= 0, got {self.s}")
         if not np.all(np.isfinite(vals)):
             raise ValidationError("distances must be finite")
         if vals.size and (vals[0] < 0.0 or vals[-1] > self.s):

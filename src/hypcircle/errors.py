@@ -36,10 +36,6 @@ class NonConvergence(HypCircleError, ArithmeticError):
     """Adaptive refinement exhausted its depth budget."""
 
 
-class PoleProximity(ValidationError):
-    """Evaluation point too close to a pole."""
-
-
 class DomainError(ValidationError):
     """Argument outside the supported domain."""
 

@@ -18,16 +18,10 @@ from .errors import (
     ValidationError,
     WindowOutOfRange,
 )
-from .fracint import (
-    DEFAULT_STEP,
-    SampledSeries,
-    _as_alpha,
-    frac_exp_reference,
-    frac_integrate,
-)
+from .fracint import DEFAULT_STEP, SampledSeries, frac_exp_reference, frac_integrate
 from .geometry import Point
 from .spectral.terms import _VOL_COEFF, _model_terms, main_term, spectral_variance
-from .specfun import lower_incomplete_exp
+from .specfun import _as_alpha, lower_incomplete_exp
 
 __all__ = [
     "ErrorSeries",
@@ -301,12 +295,17 @@ def variance_report(err: ErrorSeries, amplitudes, order, T: float,
 
     t_max = inf (the default) sums every form.  No pass/fail judgment here:
     the limit is asymptotic and desk-scale windows converge slowly, so the
-    ratio is reported as-is.
+    ratio is reported as-is.  A series integrated to another order than
+    `order` is refused; one with no order (alpha None, e.g. read from a CSV)
+    is taken as given.
     """
     if math.isnan(t_max):
         raise ValidationError("spectral cut-off t_max is NaN")
+    alpha = _as_alpha(order)
+    if err.alpha is not None and err.alpha != alpha:
+        raise ValidationError(f"the series is integrated to order {err.alpha}, not {alpha}")
     emp = window_variance(err, T, window=window)
-    spectral_sum = spectral_variance(amplitudes, order, t_max)
+    spectral_sum = spectral_variance(amplitudes, alpha, t_max)
     if spectral_sum.terms == 0:
         raise ValidationError(f"no spectral parameter lies in (0, {t_max}]")
     ratio = emp / spectral_sum.value if spectral_sum.value > 0 else math.inf
@@ -462,6 +461,7 @@ def hybrid_run(z: Point, w: Point, schedule: str, T_values, step: float = DEFAUL
     The T must be distinct, and the condition quantity 1/(alpha e^{2 T alpha})
     at most _CONDITION_MAX at every listed T (checked at T >= 9 where the
     asymptotic regime is meant); otherwise ScheduleViolation is raised.
+    e(s) is sampled once, to the largest T, and integrated once per order.
     """
     if schedule not in _SCHEDULES:
         raise ValidationError(f"unknown schedule {schedule!r}, expected one of {sorted(_SCHEDULES)}")
@@ -471,19 +471,16 @@ def hybrid_run(z: Point, w: Point, schedule: str, T_values, step: float = DEFAUL
         raise ValidationError(f"window lengths T must be positive, got {T_values}")
     if len(set(T_values)) < len(T_values):
         raise ScheduleViolation(f"window lengths T must be distinct, got {T_values}")
-    alphas = [sched(T) for T in T_values]
+    alphas = [_as_alpha(sched(T)) for T in T_values]
     conds = [schedule_condition(a, T) for a, T in zip(alphas, T_values)]
     for T, cond in zip(T_values, conds):
         if T >= 9.0 and cond > _CONDITION_MAX:
             raise ScheduleViolation(
                 f"condition value {cond:.4g} at T={T} exceeds {_CONDITION_MAX}")
-    s_need = max(T_values)
-    _grid_size(s_need, step)
-    if distances is None:
-        distances = list_distances(BallSpec(z, w, s_need))
+    base = sample_error(z, w, max(T_values), step, distances=distances)
     out = []
     for T, a, cond in zip(T_values, alphas, conds):
-        err = sample_e_alpha(z, w, a, s_need, step, distances=distances)
+        err = ErrorSeries(series=frac_integrate(base.series, a), alpha=a)
         var = window_variance(err, T, window="0T")
         out.append(HybridPoint(T=T, alpha=a, condition=cond, variance=var))
     return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NonConvergence, ValidationError
-from .specfun import gauss_legendre, lower_incomplete_exp
+from .specfun import _as_alpha, gauss_legendre, lower_incomplete_exp
 
 __all__ = [
     "SampledSeries",
@@ -40,14 +40,6 @@ _INDICATOR_X_MAX = 1400.0
 _PANEL_NODES = 32
 
 
-def _as_alpha(order) -> float:
-    """The order as a float, validated to lie in (0, 1]."""
-    alpha = float(order)
-    if not 0.0 < alpha <= 1.0:
-        raise ValidationError(f"order must lie in (0, 1], got {alpha}")
-    return alpha
-
-
 @dataclass(frozen=True)
 class SampledSeries:
     """A uniformly sampled real-valued function: sample k sits at start + k*step."""
@@ -57,8 +49,10 @@ class SampledSeries:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValidationError(f"step must be positive, got {self.step}")
+        if not 0.0 < self.step < math.inf:
+            raise ValidationError(f"step must be positive and finite, got {self.step}")
+        if not math.isfinite(self.start):
+            raise ValidationError(f"start must be finite, got {self.start}")
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise ValidationError("values must be a nonempty 1-d array")

@@ -1,13 +1,14 @@
 """Special functions the spectral side depends on.
 
-K-Bessel with imaginary order, the Gauss 2F1 series on (-1, 1), and the
-exponential-kernel incomplete integral, all in double precision.  The
-incomplete integral is Kummer's function, SciPy's hyp1f1, imported on the
-first call.  The K-Bessel is one trapezoid rule on its integral
-representation along a line shifted towards the saddle (Gil, Segura and
-Temme, ACM TOMS 30, 2004), vectorized over x: callers pass every x of a
-Fourier row, a quadrature or a linear system in one call, so the cost is
-the nodes, not the calls.
+K-Bessel with imaginary order and the exponential-kernel incomplete
+integral, both in double precision, and the check every layer above applies
+to a fractional order.  The incomplete integral is Kummer's function,
+SciPy's hyp1f1, imported on the first call.  The K-Bessel is one trapezoid
+rule on its integral representation along a line shifted towards the saddle
+(Gil, Segura and Temme, ACM TOMS 30, 2004), vectorized over x: callers pass
+every x of a Fourier row, a quadrature or a linear system in one call, so
+the cost is the nodes, not the calls.  The Gauss 2F1 series of the ball
+kernel's closed form is summed in spectral.transforms, beside it.
 """
 
 from __future__ import annotations
@@ -17,19 +18,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    ArgumentOutOfRange,
-    DomainError,
-    NonConvergence,
-    PoleProximity,
-)
+from .errors import DomainError, ValidationError
 
 __all__ = [
     "bessel_k_imag_scaled",
-    "gauss_2f1",
     "lower_incomplete_exp",
     "gauss_legendre",
 ]
+
+
+def _as_alpha(order) -> float:
+    """The order as a float, validated to lie in (0, 1]."""
+    alpha = float(order)
+    if not 0.0 < alpha <= 1.0:
+        raise ValidationError(f"order must lie in (0, 1], got {alpha}")
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -94,35 +97,6 @@ def bessel_k_imag_scaled(t: float, x):
 
 
 # ---------------------------------------------------------------------------
-# Gauss hypergeometric 2F1 for arguments in (-1, 1)
-# ---------------------------------------------------------------------------
-
-def gauss_2f1(a: complex, b: complex, c: complex, x: float) -> complex:
-    """2F1(a, b; c; x) for real x in (-1, 1) by its power series.
-
-    The terms fall like |x|^k times a power of k, so the sum stops once a
-    term is below 1e-16 of it; 40/(-ln|x|) + 50 terms (|x|^k down to e^-40)
-    is the cap, past which NonConvergence is raised.
-    """
-    if not -1.0 < x < 1.0:
-        raise ArgumentOutOfRange(f"2F1 series requires -1 < x < 1, got {x}")
-    a, b, c = complex(a), complex(b), complex(c)
-    cr = round(c.real)
-    if cr <= 0 and abs(c - cr) <= 1e-12:
-        raise PoleProximity(f"2F1 parameter c = {c} at a nonpositive integer")
-    if x == 0.0:
-        return complex(1.0)
-    term = complex(1.0)
-    acc = complex(1.0)
-    for k in range(int(40.0 / -math.log(abs(x))) + 50):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * x
-        acc += term
-        if abs(term) <= 1e-16 * max(abs(acc), 1e-30):
-            return acc
-    raise NonConvergence(f"2F1 series did not converge at x = {x}")
-
-
-# ---------------------------------------------------------------------------
 # incomplete exponential-kernel integral
 # ---------------------------------------------------------------------------
 
@@ -136,8 +110,7 @@ def lower_incomplete_exp(alpha: float, X) -> np.ndarray | float:
     """
     from scipy.special import hyp1f1  # here, so that importing hypcircle skips SciPy
 
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"order must lie in (0, 1], got {alpha}")
+    alpha = _as_alpha(alpha)
     X_arr = np.asarray(X, dtype=float)
     if not np.all(X_arr >= 0.0):
         raise DomainError("X must be >= 0 and not NaN")

@@ -251,6 +251,8 @@ def normalize_l2(datum: SpectralDatum, refine: int = 0,
     """
     t = datum.t
     Y = truncation_height if truncation_height is not None else t / (2.0 * math.pi) + 3.0
+    if not 1.0 < Y < math.inf:  # the strip is 1 <= y <= Y
+        raise ValidationError(f"truncation height must be finite and above 1, got {Y}")
     cutoff = bessel_decay_cutoff(t)
     needed = _required_terms(cutoff, math.sqrt(3.0) / 2.0)
     if needed > datum.coeffs.size:
@@ -265,7 +267,7 @@ def normalize_l2(datum: SpectralDatum, refine: int = 0,
     edges = np.linspace(1.0, Y, max(8, n_y // 48) + 1)
     widths = np.diff(edges)[:, None]
     ys, wys = (edges[:-1, None] + widths * ynodes).ravel(), (yw * widths).ravel()
-    ks = _bessel_row_scaled(t, ys, np.minimum(_required_terms(cutoff, ys), datum.coeffs.size))
+    ks = _bessel_row_scaled(t, ys, _required_terms(cutoff, ys))
     strip = float(np.sum(wys * 2.0 * np.sum((datum.coeffs[:ks.shape[1]] * ks) ** 2, 1) / ys))
 
     # arc region sqrt(3)/2 <= y < 1, |x| in [sqrt(1-y^2), 1/2]; |phi|^2 even in x
@@ -275,8 +277,7 @@ def normalize_l2(datum: SpectralDatum, refine: int = 0,
     ys = y0 + (1.0 - y0) * yq
     xc = np.sqrt(np.maximum(1.0 - ys * ys, 0.0))
     xs = xc[:, None] + (0.5 - xc)[:, None] * xq
-    n_terms = np.minimum(_required_terms(cutoff, ys), datum.coeffs.size)
-    sq = np.sum(xw * _hecke_row_scaled(datum, xs, ys, n_terms) ** 2, 1)
+    sq = np.sum(xw * _hecke_row_scaled(datum, xs, ys, _required_terms(cutoff, ys)) ** 2, 1)
     arc = float(np.sum(yw2 * (1.0 - y0) * 2.0 * (0.5 - xc) * sq / (ys * ys)))
 
     # tail above Y from the decay of the leading coefficient

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fracint import _as_alpha
+from ..specfun import _as_alpha
 from .data import Amplitude
 from .transforms import r_alpha
 

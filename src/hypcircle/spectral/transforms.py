@@ -2,9 +2,10 @@
 
 shc_direct evaluates the transform of the normalized indicator kernel by
 quadrature; h_r_closed evaluates the same object through one Gauss
-hypergeometric series in e^{-2R} at every radius; shc_frac integrates the
-transform fractionally in the radius variable by a composite Gauss-Jacobi rule
-on _shc_panels' panels and carries the large-frequency main term alongside.
+hypergeometric series in e^{-2R} at every radius, summed here by
+_hr_halfterm; shc_frac integrates the transform fractionally in the radius
+variable by a composite Gauss-Jacobi rule on _shc_panels' panels and carries
+the large-frequency main term alongside.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ArgumentOutOfRange, DomainError
-from ..fracint import _PANEL_NODES, _as_alpha, frac_integral_at
-from ..specfun import gauss_2f1, gauss_legendre
+from ..errors import ArgumentOutOfRange, DomainError, NonConvergence
+from ..fracint import _PANEL_NODES, frac_integral_at
+from ..specfun import _as_alpha, gauss_legendre
 
 __all__ = [
     "shc_direct",
@@ -107,10 +108,24 @@ def _gamma_ratio(z: complex) -> complex:
 
 
 def _hr_halfterm(R: float, t: float) -> complex:
-    """e^{itR} G(it) 2F1(-1/2, -1/2 - it; 1 - it; e^{-2R}) with G = _gamma_ratio."""
+    """e^{itR} G(it) 2F1(-1/2, -1/2 - it; 1 - it; q) with G = _gamma_ratio, q = e^{-2R}.
+
+    The 2F1 is its power series.  The terms fall like q^k times a power of
+    k, so the sum stops once a term is below 1e-16 of it; 20/R + 50 terms
+    (q^k down to e^-40) is the cap, past which NonConvergence is raised.
+    h_r_closed's t != 0 keeps c = 1 - it off the poles at the nonpositive
+    integers, and its R >= 0.01 keeps q <= e^{-0.02}.  Past R = 372 q
+    underflows to 0, and the first term, 0, ends the sum at 1.
+    """
     it = 1j * t
     q = math.exp(-2.0 * R)
-    return cmath.exp(it * R) * _gamma_ratio(it) * gauss_2f1(-0.5, -0.5 - it, 1.0 - it, q)
+    term = acc = complex(1.0)
+    for k in range(int(20.0 / R) + 50):
+        term *= (k - 0.5) * (k - 0.5 - it) / ((k + 1.0 - it) * (k + 1)) * q
+        acc += term
+        if abs(term) <= 1e-16 * max(abs(acc), 1e-30):
+            return cmath.exp(it * R) * _gamma_ratio(it) * acc
+    raise NonConvergence(f"2F1 series did not converge at q = {q}")
 
 
 def h_r_closed(R: float, t: float) -> HrResult:

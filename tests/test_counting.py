@@ -362,6 +362,18 @@ class TestDistanceDump:
         with pytest.raises(ValidationError):
             DistanceMultiset(values=np.array([1.0, 0.5]), s=2.0)
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan, -1.0])
+    def test_bad_radius_rejected(self, s):
+        # a list "complete to radius inf" would pass for any s_max and give N(s) short
+        with pytest.raises(ValidationError, match="radius must be finite"):
+            DistanceMultiset(values=np.empty(0), s=s)
+
+    def test_infinite_radius_file_rejected(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        path.write_bytes(struct.pack("<d", math.inf) + np.array([0.1, 0.5], dtype="<f8").tobytes())
+        with pytest.raises(ValidationError, match="radius must be finite"):
+            load_distances(path, 6.0)
+
 
 class TestBoundaryDiagnostics:
     def test_exact_tie_flagged(self):

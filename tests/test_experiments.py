@@ -290,6 +290,17 @@ class TestSyntheticClosedLoop:
         assert rep.empirical <= scan.envelope_constant ** 2
         assert math.isfinite(rep.ratio) and rep.ratio > 0.0
 
+    def test_variance_report_order_mismatch_rejected(self, distances_14, amplitudes_ii):
+        # an e_0.5 series against the order-0.25 spectral sum read 4.03 where the
+        # matching sum reads 15.84
+        err = sample_e_alpha(I, I, 0.5, 10.0, distances=distances_14)
+        with pytest.raises(ValidationError, match="integrated to order 0.5, not 0.25"):
+            variance_report(err, amplitudes_ii, 0.25, 5.0)
+        # a series with no order (e.g. read from a CSV) is taken as given
+        plain = ErrorSeries(series=err.series, alpha=None)
+        assert (variance_report(plain, amplitudes_ii, 0.5, 5.0)
+                == variance_report(err, amplitudes_ii, 0.5, 5.0))
+
     def test_variance_report_real_smoke(self, distances_14, amplitudes_ii):
         err = sample_e_alpha(I, I, 0.25, 14.0, distances=distances_14)
         rep = variance_report(err, amplitudes_ii, 0.25, 12.0, window="0T")
@@ -454,16 +465,17 @@ class TestHybrid:
         assert pts[1].condition <= 0.02
 
     def test_each_order_through_sample_e_alpha(self, monkeypatch, distances_14):
-        # each order's e_alpha is sample_e_alpha's, on the distances given
-        calls, sample = [], experiments.sample_e_alpha
+        # one e(s), sampled once on the distances given, serves every order, and
+        # each order's e_alpha is sample_e_alpha's
+        calls, sample = [], experiments.sample_error
 
         def counted(*args, **kwargs):
             calls.append(kwargs["distances"])
             return sample(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "sample_e_alpha", counted)
+        monkeypatch.setattr(experiments, "sample_error", counted)
         pts = hybrid_run(I, I, "inv-sqrt", [6.0, 9.0, 12.0], distances=distances_14)
-        assert len(calls) == 3 and all(d is distances_14 for d in calls)
+        assert len(calls) == 1 and calls[0] is distances_14
         for p in pts:
             err = sample_e_alpha(I, I, p.alpha, 12.0, distances=distances_14)
             assert p.variance == window_variance(err, p.T, window="0T")
@@ -475,6 +487,12 @@ class TestHybrid:
     def test_unknown_schedule_rejected(self, distances_14):
         with pytest.raises(ValidationError, match="unknown schedule"):
             hybrid_run(I, I, "inv-cube", [6.0, 9.0, 12.0], distances=distances_14)
+
+    def test_order_above_one_rejected_before_enumerating(self, monkeypatch):
+        # alpha(0.5) = 1.41 under inv-sqrt
+        monkeypatch.setattr(experiments, "list_distances", lambda spec: pytest.fail("enumerated"))
+        with pytest.raises(ValidationError, match="order must lie"):
+            hybrid_run(I, I, "inv-sqrt", [0.5, 4.0])
 
     def test_condition_quantity(self):
         assert schedule_condition(1.0 / 3.0, 9.0) == pytest.approx(

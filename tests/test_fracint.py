@@ -41,6 +41,14 @@ class TestTypes:
         with pytest.raises(ValidationError):
             SampledSeries(0.0, 0.1, np.array([]))
 
+    @pytest.mark.parametrize("start,step", [(0.0, math.inf), (0.0, math.nan),
+                                            (math.nan, 0.1), (-math.inf, 0.1)])
+    def test_non_finite_grid_rejected(self, start, step):
+        # an infinite step leaves every window empty and a NaN start breaks the
+        # window search, so neither may construct
+        with pytest.raises(ValidationError, match="finite"):
+            SampledSeries(start, step, np.ones(3))
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("alpha", ALPHAS)

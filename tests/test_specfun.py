@@ -8,8 +8,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hypcircle.errors import ArgumentOutOfRange, DomainError
-from hypcircle.specfun import bessel_k_imag_scaled, gauss_2f1, lower_incomplete_exp
+from hypcircle.errors import DomainError, ValidationError
+from hypcircle.specfun import bessel_k_imag_scaled, lower_incomplete_exp
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -158,36 +158,6 @@ def test_norms_reproduce_without_mpmath():
     assert float(rel) <= 1e-10
 
 
-class TestGauss2F1:
-    def test_at_zero(self):
-        assert gauss_2f1(-0.5, 1.5, 2.0 - 4.0j, 0.0) == 1.0
-
-    def test_series_oracle(self):
-        # direct slow summation at modest argument
-        a, b, c, x = -0.5, 1.5, 2.0, -0.5
-        term, acc = 1.0, 1.0
-        for k in range(200):
-            term *= (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
-            acc += term
-        assert gauss_2f1(a, b, c, x) == pytest.approx(acc, rel=1e-12)
-
-    def test_against_mpmath(self):
-        # the plain series on both sides of 0; b = -1/2 - i tau is h_r_closed's
-        # parameter set, b = 3/2 its form before the Pfaff transformation
-        for x in (-0.95, -0.6, -0.2, -0.01, 0.01, 0.2, 0.6, 0.95, 0.98):
-            for tc in (0.7, 4.0, 31.0):
-                for b in (1.5, -0.5 - 1j * tc):
-                    got = gauss_2f1(-0.5, b, 1.0 - 1j * tc, x)
-                    with mp.workdps(30):
-                        ref = complex(mp.hyp2f1(-0.5, b, mp.mpc(1.0, -tc), x))
-                    assert abs(got - ref) <= 1e-10 * abs(ref)
-
-    def test_domain_errors(self):
-        for x in (-1.5, -1.0, 1.0):
-            with pytest.raises(ArgumentOutOfRange):
-                gauss_2f1(-0.5, 1.5, 2.0, x)
-
-
 class TestLowerIncompleteExp:
     def test_zero(self):
         assert lower_incomplete_exp(0.5, 0.0) == 0.0
@@ -255,3 +225,7 @@ class TestLowerIncompleteExp:
         for X in (-1.0, math.nan, np.array([2.0, math.nan])):
             with pytest.raises(DomainError):
                 lower_incomplete_exp(0.5, X)
+        # an order outside (0, 1] is refused by the check every layer shares
+        for alpha in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValidationError, match=r"order must lie in \(0, 1\]"):
+                lower_incomplete_exp(alpha, 2.0)

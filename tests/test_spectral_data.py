@@ -211,6 +211,12 @@ class TestNormalizeL2:
         r2 = normalize_l2(f, truncation_height=base + 1.0)
         assert abs(r2 - r1) / r1 <= 1e-3
 
+    @pytest.mark.parametrize("Y", [0.5, 1.0, math.inf, math.nan])
+    def test_truncation_height_off_the_strip_rejected(self, dataset, Y):
+        # the strip runs over 1 <= y <= Y, and the coefficient check assumes no y below it
+        with pytest.raises(ValidationError, match="truncation height"):
+            normalize_l2(dataset.forms[0], truncation_height=Y)
+
 
 class TestAmplitude:
     def test_diagonal_nonnegative(self, amps_ii):

@@ -10,6 +10,7 @@ from hypcircle import constants
 from hypcircle.errors import ArgumentOutOfRange, DomainError, ValidationError
 from hypcircle.fracint import SampledSeries, frac_exp_reference, frac_integral_at, frac_integrate
 from hypcircle.spectral.transforms import (
+    _hr_halfterm,
     _shc_panels,
     h_r_closed,
     r_alpha,
@@ -74,6 +75,8 @@ class TestHrClosed:
                                      (6.0, 11.0), (10.0, 2.2),
                                      # e^{2R} overflows past R = 354.9
                                      (355.0, 1.0), (700.0, 1.0),
+                                     # e^{-2R} underflows to 0 past R = 372
+                                     (400.0, 0.7), (400.0, 4.0), (400.0, 31.0),
                                      # Gamma(it) underflows past t = 450
                                      (3.0, 460.0), (3.0, 500.0), (3.0, 1000.0),
                                      # the same series below R = 1
@@ -82,6 +85,18 @@ class TestHrClosed:
         lhs = shc_direct(s, t)
         rhs = math.exp(-0.5 * s) * h_r_closed(s, t).value
         assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-12)
+
+    def test_series_against_mpmath(self):
+        # each half of the closed form, e^{itR} G(it) 2F1(-1/2, -1/2 - it; 1 - it; q),
+        # at q = e^{-2R} from 0.01 up to 0.98 (R = 0.0101), where the series is longest
+        for q in (0.01, 0.2, 0.6, 0.95, 0.98):
+            R = -math.log(q) / 2.0
+            for t in (0.7, 4.0, 31.0, -0.7, -4.0, -31.0):
+                with mp.workdps(30):
+                    it, Rm = mp.mpc(0, t), mp.mpf(R)
+                    ref = complex(mp.exp(it * Rm) * mp.gamma(it) / mp.gamma(1.5 + it)
+                                  * mp.hyp2f1(-0.5, -0.5 - it, 1 - it, mp.exp(-2 * Rm)))
+                assert abs(_hr_halfterm(R, t) - ref) <= 1e-10 * abs(ref)
 
     def test_small_radius_envelope(self):
         for (R, t) in [(0.3, 3.0), (0.5, 12.0), (0.8, 40.0)]:
