@@ -84,6 +84,8 @@ def _floats(text: str) -> list[float]:
 
 
 def _write_csv(path, grid, values):
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"non-finite result at s = {grid[np.argmin(np.isfinite(values))]:g}")
     np.savetxt(path, np.column_stack([grid, values]), fmt="%.17g", delimiter=",",
                header="s,value", comments="")
 
@@ -326,7 +328,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_glue_points(sys.argv[1:] if argv is None else argv))
-        args.func(args)
+        with np.errstate(all="ignore"):  # a non-finite result is refused by name instead
+            args.func(args)
         return 0
     except NonConvergence as exc:
         return _fail(str(exc), 3)

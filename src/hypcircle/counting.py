@@ -25,15 +25,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BoundInsufficient, MemoryBudgetExceeded, RadiusTooLarge, ValidationError
-from .geometry import Point, distance_from_u, pullback
+from .errors import BoundInsufficient, MemoryBudgetExceeded, ValidationError
+from .geometry import _MAX_RADIUS, Point, distance_from_u, pullback
 
 __all__ = ["BallSpec", "DistanceMultiset", "CountDiagnostics", "count_ball", "list_distances",
            "brute_force_count", "required_entry_bound", "save_distances", "load_distances",
-           "DEFAULT_S_MAX", "DEFAULT_POINT_CAP"]
+           "DEFAULT_POINT_CAP"]
 
-# Largest radius the enumeration accepts.
-DEFAULT_S_MAX = 30.0
+# Points a run may hold: a distance list or a sample grid.
 DEFAULT_POINT_CAP = 10**8
 
 # Relative guard on the cosh-comparison deciding boundary membership;
@@ -43,8 +42,8 @@ _BOUNDARY_GUARD = 1e-12
 # Candidate rows, or orbit points, the ball stage forms per chunk, so its temporaries stay small.
 _CHUNK_POINTS = 2 ** 16
 
-# Matrices brute_force_count may visit, E (2E + 1)^2 at entry bound E.
-_ORACLE_WORK_CAP = 2 ** 30
+# Candidates one pass may visit: the ball's rows, or brute_force_count's E (2E + 1)^2 matrices.
+_WORK_CAP = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,8 @@ class BallSpec:
     s: float
 
     def __post_init__(self):
-        if not self.s >= 0.0:
-            raise ValidationError(f"radius must be >= 0, got {self.s}")
+        if not 0.0 <= self.s <= _MAX_RADIUS:
+            raise ValidationError(f"radius must be finite and in [0, {_MAX_RADIUS}], got {self.s}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,8 @@ class DistanceMultiset:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", vals)
-        if not 0.0 <= self.s < math.inf:
-            raise ValidationError(f"radius must be finite and >= 0, got {self.s}")
+        if not 0.0 <= self.s <= _MAX_RADIUS:
+            raise ValidationError(f"radius must be finite and in [0, {_MAX_RADIUS}], got {self.s}")
         if not np.all(np.isfinite(vals)):
             raise ValidationError("distances must be finite")
         if vals.size and (vals[0] < 0.0 or vals[-1] > self.s):
@@ -105,8 +104,10 @@ def _row_chunks(spec: BallSpec):
     class; each class expands to its rows d = lead + j*c.
     """
     z, w, s = spec.z, spec.w, spec.s
-    if s > DEFAULT_S_MAX:
-        raise RadiusTooLarge(f"radius {s} exceeds ceiling {DEFAULT_S_MAX}")
+    work = 0.5 * math.pi * math.exp(s) / z.y  # half the ellipse |c w + d|^2 <= B: pi B / (2 Im w)
+    if not work <= _WORK_CAP:  # before any array; the estimate is within 2e-4 from s = 17 on
+        raise MemoryBudgetExceeded(
+            f"radius {s:g} visits about {work:.3g} candidate rows, past the work cap {_WORK_CAP}")
     cosh_eff = math.cosh(s) * (1.0 + _BOUNDARY_GUARD)
     # the c=0 row spans the most translations k; past 2^50 they are not exact
     # doubles, and the height products of _k_intervals overflow
@@ -120,9 +121,6 @@ def _row_chunks(spec: BallSpec):
     d_lo = np.ceil(-cs * w.x - half).astype(np.int64)
     d_hi = np.floor(-cs * w.x + half).astype(np.int64)
     n_per_c = np.maximum(d_hi - d_lo + 1, 0)
-    total = int(n_per_c.sum())
-    if total > DEFAULT_POINT_CAP:
-        raise MemoryBudgetExceeded(f"{total} candidate rows exceed cap {DEFAULT_POINT_CAP}")
     x0, y0 = np.array([w.x]), np.array([w.y])
     yield x0, y0, *_k_intervals(spec, x0, y0, _BOUNDARY_GUARD)
     for lo, hi in _chunks(n_per_c):
@@ -220,11 +218,9 @@ def required_entry_bound(spec: BallSpec) -> int:
     Any gamma with d(z, gamma w) <= s satisfies
     ||gamma||_F <= sigma(g_z) sigma(g_w) sqrt(2 cosh s), and sigma(g_v)^2 <=
     2 cosh d(i, v) for the standard upper-triangular transporter g_v.
-    RadiusTooLarge past DEFAULT_S_MAX, ValidationError where the bound overflows.
+    ValidationError where the bound overflows.
     """
     z, w = spec.z, spec.w
-    if spec.s > DEFAULT_S_MAX:
-        raise RadiusTooLarge(f"radius {spec.s} exceeds ceiling {DEFAULT_S_MAX}")
     cosh_di_z = (z.x * z.x + z.y * z.y + 1.0) / (2.0 * z.y)
     cosh_di_w = (w.x * w.x + w.y * w.y + 1.0) / (2.0 * w.y)
     bound = math.sqrt(8.0 * cosh_di_z * cosh_di_w * math.cosh(spec.s)) * (1.0 + 1e-9)
@@ -242,7 +238,7 @@ def brute_force_count(spec: BallSpec, entry_bound: int) -> int:
     |b| <= E; c = 0 leaves the translations w + b.  Raises BoundInsufficient
     (reporting the required bound) when the bound cannot be proven to
     contain the ball, and MemoryBudgetExceeded, before anything is
-    allocated, when its E (2E + 1)^2 matrices pass _ORACLE_WORK_CAP
+    allocated, when its E (2E + 1)^2 matrices pass _WORK_CAP
     (E <= 644, about 7 s).
     """
     required = required_entry_bound(spec)
@@ -253,9 +249,8 @@ def brute_force_count(spec: BallSpec, entry_bound: int) -> int:
         )
     E = int(entry_bound)
     work = E * (2 * E + 1) ** 2
-    if work > _ORACLE_WORK_CAP:
-        raise MemoryBudgetExceeded(
-            f"oracle entry bound {E} visits {work} matrices, past cap {_ORACLE_WORK_CAP}")
+    if work > _WORK_CAP:
+        raise MemoryBudgetExceeded(f"oracle entry bound {E} visits {work} matrices, past cap {_WORK_CAP}")
     cosh_s_eff = math.cosh(spec.s) * (1.0 + _BOUNDARY_GUARD)
     zc, wc = spec.z.z, spec.w.z
     # c = 0: ad = 1 with d > 0 forces a = d = 1, the translations w + b

@@ -13,12 +13,8 @@ class ParseError(ValidationError):
     """Malformed spectral data file."""
 
 
-class RadiusTooLarge(ValidationError):
-    """Requested ball radius exceeds the configured enumeration ceiling."""
-
-
 class MemoryBudgetExceeded(HypCircleError):
-    """An enumeration would produce more points than the configured cap."""
+    """A run would visit more candidates than the work cap, or hold more points than the point cap."""
 
 
 class BoundInsufficient(ValidationError):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import DEFAULT_POINT_CAP, BallSpec, DistanceMultiset, list_distances
+from .counting import DEFAULT_POINT_CAP, BallSpec, DistanceMultiset, _chunks, list_distances
 from .errors import (
     MemoryBudgetExceeded,
     MethodDisagreement,
@@ -169,7 +169,8 @@ def exact_e_alpha(distances: DistanceMultiset, alpha: float, s_max: float,
     step (x+1)/2, is replaced by its interpolant sum_{j<=J} c_j(m) T_j(x) in
     the J+1 Chebyshev points, J = 18, so degree j adds one convolution of
     the cell moments sum T_j(x) with the row c_j.  Cost O(J (N + n^2)) for
-    N distances and n samples, against O(n N) for a direct sum.
+    N distances and n samples, against O(n N) for a direct sum; memory
+    O(_CHUNK_POINTS + J n) beside the list, which is walked in chunks of whole cells.
 
     Error bound: L(m*step - delta) is singular at x = 2m-1, outside the
     Bernstein ellipse of every rho < 2m-1 + sqrt((2m-1)^2 - 1) (5.83 at
@@ -185,12 +186,19 @@ def exact_e_alpha(distances: DistanceMultiset, alpha: float, s_max: float,
     n = _grid_size(s_max, step)
     grid = step * np.arange(n)
     d = _reaching(distances, s_max)
-    # s_k <= d < s_{k+1}: sample j is reached when d < s_j, as in a direct sum
-    k = np.searchsorted(grid, d, side="right") - 1
-    near = k[:np.searchsorted(k, n - 1)] + 1  # k is sorted; k + 1 < n
-    # float even when near is empty: numpy's bincount then returns int64 whatever the weights
-    acc = np.bincount(near, weights=lower_incomplete_exp(alpha, grid[near] - d[:near.size]),
-                      minlength=n).astype(float, copy=False)
+    # cell k, s_k <= d < s_{k+1}, holds d[first[k]:first[k+1]]; d < s_j reaches s_j
+    first = np.searchsorted(d, grid)
+    acc, moments = np.zeros(n), np.zeros((_CHEB_DEGREE + 1, n - 1))
+    for lo, hi in _chunks(np.diff(first)):  # the cells k < n-1, which reach sample k+1
+        k = np.repeat(np.arange(hi - lo), np.diff(first[lo:hi + 1]))  # cell - lo
+        dk = d[first[lo]:first[hi]]
+        acc[lo + 1:hi + 1] += np.bincount(k, minlength=hi - lo, weights=lower_incomplete_exp(
+            alpha, grid[lo + 1:hi + 1][k] - dk))
+        x = 2.0 * (dk - grid[lo:hi][k]) / step - 1.0
+        t_prev, t_cur = np.zeros(x.size), np.ones(x.size)
+        for j in range(_CHEB_DEGREE + 1):
+            moments[j, lo:hi] = np.bincount(k, weights=t_cur, minlength=hi - lo)
+            t_prev, t_cur = t_cur, (2.0 if j else 1.0) * x * t_cur - t_prev
     cells = n - 2  # cells k < n-2 reach the samples k+m, m >= 2
     if cells > 0:
         deg = np.arange(_CHEB_DEGREE + 1)
@@ -203,13 +211,8 @@ def exact_e_alpha(distances: DistanceMultiset, alpha: float, s_max: float,
         centre = kernel[_CHEB_DEGREE // 2]
         coef = 2.0 / _CHEB_DEGREE * np.outer(ends, ends) * cheb @ (kernel - centre)
         coef[0] += centre
-        cell = k[:np.searchsorted(k, cells)]
-        x = 2.0 * (d[:cell.size] - grid[cell]) / step - 1.0
-        t_prev, t_cur = np.zeros(cell.size), np.ones(cell.size)
         for j in range(_CHEB_DEGREE + 1):
-            moment = np.bincount(cell, weights=t_cur, minlength=cells)
-            acc[2:] += np.convolve(moment, coef[j])[:cells]
-            t_prev, t_cur = t_cur, (2.0 if j else 1.0) * x * t_cur - t_prev
+            acc[2:] += np.convolve(moments[j, :cells], coef[j])[:cells]
     main = _VOL_COEFF * frac_exp_reference(0.5, alpha, grid)
     return np.exp(-0.5 * grid) * acc / math.gamma(alpha) - main
 

@@ -17,6 +17,8 @@ from .errors import ValidationError
 
 __all__ = ["Point", "point_pair_u", "distance", "distance_from_u", "pullback"]
 
+_MAX_RADIUS = 709.78  # log of the largest double: cosh and sinh overflow past it
+
 
 @dataclass(frozen=True)
 class Point:

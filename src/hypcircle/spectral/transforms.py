@@ -18,6 +18,7 @@ import numpy as np
 
 from ..errors import ArgumentOutOfRange, DomainError, NonConvergence
 from ..fracint import _PANEL_NODES, frac_integral_at
+from ..geometry import _MAX_RADIUS
 from ..specfun import _as_alpha, gauss_legendre
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
 ]
 
 
-_MAX_RADIUS = 709.78  # log of the largest double: cosh and sinh overflow past it
 # h_r_closed's series needs ~20/R terms; below this cancellation costs digits
 _MIN_RADIUS = 0.01
 

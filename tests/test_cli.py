@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -96,15 +98,24 @@ class TestCount:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
     def test_too_many_candidate_rows_one_line(self):
-        # s = 29 is under the radius ceiling, but its 6.2e12 candidate rows,
-        # streamed at a few million a second, would take weeks: the row cap
-        # guards the work before any row is formed; in a subprocess, so that
-        # nothing else reaches stderr
+        # s = 29 is a valid radius, but its 6.2e12 candidate rows, streamed at
+        # a few million a second, would take weeks: the work cap refuses them
+        # before any row is formed; in a subprocess, so that nothing else
+        # reaches stderr
         proc = subprocess.run([sys.executable, "-m", "hypcircle.cli", "count", "--s", "29"],
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1
+
+    def test_past_work_cap_fast(self, capsys):
+        # s = 21 would visit pi e^21 / 2 = 2.07e9 candidate rows, past the
+        # 2^30 work cap: refused at once, before any row is formed
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--s", "21")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and "work cap" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -142,6 +153,19 @@ class TestErrorTerm:
         _write_csv(path, np.array([-0.0, 5e-324, math.pi]), np.array([0, 7, 123456789]))
         assert path.read_bytes() == (b"s,value\n-0,0\n4.9406564584124654e-324,7\n"
                                      b"3.1415926535897931,123456789\n")
+
+    def test_non_finite_rows_refused(self, tmp_path):
+        # 3 e^s overflows from s = 708.686 on, so e(s) is -inf there: the run
+        # exits 2 with one line and writes no CSV rather than 162 rows of -inf;
+        # in a subprocess, so that numpy's RuntimeWarnings would reach stderr
+        cache, out = tmp_path / "c.bin", tmp_path / "e.csv"
+        cache.write_bytes(struct.pack("<d", 709.0) + np.array([0.1, 0.5], dtype="<f8").tobytes())
+        proc = subprocess.run([sys.executable, "-m", "hypcircle.cli", "error-term", "--cache-in",
+                               str(cache), "--smax", "709", "--out", str(out)],
+                              env=dict(os.environ, PYTHONPATH=str(SRC)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
+        assert proc.stderr == "error: non-finite result at s = 708.686\n"
 
     def test_exact_method(self, capsys, tmp_path):
         grid_path = tmp_path / "grid.csv"

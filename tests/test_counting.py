@@ -18,7 +18,6 @@ from hypcircle.counting import (
 from hypcircle.errors import (
     BoundInsufficient,
     MemoryBudgetExceeded,
-    RadiusTooLarge,
     ValidationError,
 )
 from hypcircle import counting
@@ -125,15 +124,15 @@ class TestInvariances:
 
 class TestLimitsAndErrors:
     def test_radius_ceiling(self):
-        with pytest.raises(RadiusTooLarge):
-            count_ball(BallSpec(I, I, 31.0))
-        with pytest.raises(RadiusTooLarge):
-            list_distances(BallSpec(I, I, 31.0))
+        with pytest.raises(ValidationError, match="radius must be finite and in"):
+            count_ball(BallSpec(I, I, 710.0))
+        with pytest.raises(ValidationError, match="radius must be finite and in"):
+            list_distances(BallSpec(I, I, 710.0))
 
     def test_oracle_bound_refused_before_overflow(self):
         # refused before math.cosh, the squares or math.ceil overflow
         for s in (1000.0, math.inf):
-            with pytest.raises(RadiusTooLarge):
+            with pytest.raises(ValidationError, match="radius must be finite and in"):
                 required_entry_bound(BallSpec(I, I, s))
         with pytest.raises(ValidationError, match="overflows"):
             required_entry_bound(BallSpec(Point(0.0, 1e300), I, 3.0))
@@ -144,9 +143,9 @@ class TestLimitsAndErrors:
             list_distances(BallSpec(I, I, 12.0))
 
     def test_point_cap_bounds_the_held_list(self, monkeypatch, numpy_peak):
-        # at s = 12 the 255,265 candidate rows pass a cap of 300,000 but the
-        # 488,114 points do not: the list is refused before it grows past the
-        # cap, so it never holds more than 8 bytes per capped point
+        # at s = 12 the 488,114 points pass a cap of 300,000: the list is
+        # refused before it grows past the cap, so it never holds more than
+        # 8 bytes per capped point
         cap = 300_000
         monkeypatch.setattr(counting, "DEFAULT_POINT_CAP", cap)
 
@@ -163,15 +162,37 @@ class TestLimitsAndErrors:
         spec = BallSpec(I, I, 2.0)
         bound = 64
         work = bound * (2 * bound + 1) ** 2
-        monkeypatch.setattr(counting, "_ORACLE_WORK_CAP", work - 1)
+        monkeypatch.setattr(counting, "_WORK_CAP", work - 1)
 
         def refused():
             with pytest.raises(MemoryBudgetExceeded, match="oracle"):
                 brute_force_count(spec, bound)
 
         assert numpy_peak(refused) < 16 * 2 ** 10
-        monkeypatch.setattr(counting, "_ORACLE_WORK_CAP", work)
+        monkeypatch.setattr(counting, "_WORK_CAP", work)
         assert brute_force_count(spec, bound) == count_ball(spec)
+
+    def test_work_cap_apart_from_point_cap(self, monkeypatch):
+        # the count holds no point, so the point cap does not stop it; the
+        # list holds every point, so it does
+        monkeypatch.setattr(counting, "DEFAULT_POINT_CAP", 1000)
+        assert count_ball(BallSpec(I, I, 12.0)) == 488_114
+        with pytest.raises(MemoryBudgetExceeded, match="orbit points exceed cap 1000"):
+            list_distances(BallSpec(I, I, 12.0))
+
+    def test_work_cap(self, monkeypatch, numpy_peak):
+        # the ball's pi e^s / (2 Im z) candidate rows are refused just past the
+        # cap, before any array is allocated, and counted just under it
+        estimate = 0.5 * math.pi * math.exp(12.0)
+        monkeypatch.setattr(counting, "_WORK_CAP", math.floor(estimate))
+
+        def refused():
+            with pytest.raises(MemoryBudgetExceeded, match="candidate rows, past the work cap"):
+                count_ball(BallSpec(I, I, 12.0))
+
+        assert numpy_peak(refused) < 16 * 2 ** 10
+        monkeypatch.setattr(counting, "_WORK_CAP", math.ceil(estimate))
+        assert count_ball(BallSpec(I, I, 12.0)) == 488_114
 
     def test_oracle_work_bound(self):
         # 2^30 matrices admit entry bounds up to 644 (about 7 s); 645 visits
@@ -369,10 +390,12 @@ class TestDistanceDump:
             DistanceMultiset(values=np.empty(0), s=s)
 
     def test_infinite_radius_file_rejected(self, tmp_path):
+        # 800 is past 709.78, where cosh overflows
         path = tmp_path / "cache.bin"
-        path.write_bytes(struct.pack("<d", math.inf) + np.array([0.1, 0.5], dtype="<f8").tobytes())
-        with pytest.raises(ValidationError, match="radius must be finite"):
-            load_distances(path, 6.0)
+        for radius in (math.inf, 800.0):
+            path.write_bytes(struct.pack("<d", radius) + np.array([0.1, 0.5], dtype="<f8").tobytes())
+            with pytest.raises(ValidationError, match="radius must be finite"):
+                load_distances(path, 6.0)
 
 
 class TestBoundaryDiagnostics:

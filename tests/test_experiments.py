@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from hypcircle import constants, experiments
+from hypcircle import constants, counting, experiments
 from hypcircle.counting import BallSpec, list_distances
 from hypcircle.errors import ScheduleViolation, ValidationError, WindowOutOfRange
 from hypcircle.experiments import (
@@ -213,6 +213,25 @@ class TestExactEAlpha:
     def test_radius_zero(self):
         vals = exact_e_alpha(list_distances(BallSpec(I, I, 0.0)), 0.5, 0.0)
         assert vals.tolist() == [0.0]
+
+    @pytest.mark.parametrize("z, w", [(I, I), (Point(0.2, 1.3), Point(-0.1, 0.9))],
+                             ids=["i", "generic"])
+    def test_chunked_walk_is_bit_identical(self, monkeypatch, z, w):
+        # each cell falls in one chunk and np.bincount adds its terms in list
+        # order, so chunks of about 300 distances give the one-chunk bytes
+        dist = list_distances(BallSpec(z, w, 10.0))
+        for alpha in (0.1, 0.25, 0.5, 0.75, 1.0):
+            monkeypatch.setattr(counting, "_CHUNK_POINTS", dist.count)
+            whole = exact_e_alpha(dist, alpha, 10.0)
+            monkeypatch.setattr(counting, "_CHUNK_POINTS", 300)
+            assert exact_e_alpha(dist, alpha, 10.0).tobytes() == whole.tobytes()
+
+    def test_peak_memory(self, numpy_peak):
+        # 1.33 M distances (10.1 MiB) at s = 13: the walk holds a chunk of about
+        # 2^16 distances and the (19, n-2) cell moments beside the list, and
+        # numpy's peak allocation reads 6.4 MiB; one whole-list pass read 71.0 MiB
+        dist = list_distances(BallSpec(I, I, 13.0))
+        assert numpy_peak(lambda: exact_e_alpha(dist, 0.25, 13.0)) < 16 * 2 ** 20
 
 
 class TestLayerCake:
