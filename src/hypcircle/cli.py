@@ -196,12 +196,16 @@ def cmd_distribution(args):
     if args.bins is not None and args.bins < 1:
         raise ValidationError(f"--bins must be at least 1, got {args.bins}")
     if args.mode == "real":
+        if args.L is not None:
+            raise ValidationError("--L sets the synthetic series length; --mode real takes --T")
         step = DEFAULT_STEP if args.step is None else args.step
-        err = sample_e_alpha(args.z, args.w, args.alpha, args.T, step)
+        err = sample_e_alpha(args.z, args.w, args.alpha, 12.0 if args.T is None else args.T, step)
     else:
+        if args.T is not None:
+            raise ValidationError("--T sets the real window length; --mode synthetic takes --L")
         step = SYNTHETIC_STEP if args.step is None else args.step
         amps = amplitude(_dataset(args.spectral), args.z, args.w)
-        err = synthetic_series(amps, args.alpha, args.L, step)
+        err = synthetic_series(amps, args.alpha, 1e5 if args.L is None else args.L, step)
     est = distribution_estimate(err, bins="fd" if args.bins is None else args.bins)
     centers = 0.5 * (est.edges[:-1] + est.edges[1:])
     _write_csv(args.out, centers, est.counts)
@@ -294,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_zw(sp)
     sp.add_argument("--mode", choices=["real", "synthetic"], required=True)
     sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--T", type=float, default=12.0)
-    sp.add_argument("--L", type=float, default=1e5)
+    sp.add_argument("--T", type=float, default=None, help="real mode: window length (default 12)")
+    sp.add_argument("--L", type=float, default=None,
+                    help="synthetic mode: series length (default 1e5)")
     sp.add_argument("--step", type=float, default=None,
                     help="sample step (default 1/512 real, 1/256 synthetic)")
     sp.add_argument("--spectral", default=None)
@@ -333,7 +338,7 @@ def main(argv=None) -> int:
         return 0
     except NonConvergence as exc:
         return _fail(str(exc), 3)
-    except (ValidationError, HypCircleError, OSError) as exc:
+    except (HypCircleError, OSError) as exc:
         return _fail(str(exc), 2)
     except Exception as exc:  # a MemoryError or a bug: one line, no traceback
         return _fail(f"{type(exc).__name__}: {exc}", 4)

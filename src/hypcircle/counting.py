@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BoundInsufficient, MemoryBudgetExceeded, ValidationError
+from .errors import MemoryBudgetExceeded, ValidationError
 from .geometry import _MAX_RADIUS, Point, distance_from_u, pullback
 
 __all__ = ["BallSpec", "DistanceMultiset", "CountDiagnostics", "count_ball", "list_distances",
@@ -235,7 +235,7 @@ def brute_force_count(spec: BallSpec, entry_bound: int) -> int:
     Independent of the row/translation enumeration: it visits every canonical
     PSL(2,Z) matrix (c > 0, or c = 0 with d > 0) with entries at most E =
     bound, keeping for each c = 1 .. E the (a, d) with c | ad - 1 and
-    |b| <= E; c = 0 leaves the translations w + b.  Raises BoundInsufficient
+    |b| <= E; c = 0 leaves the translations w + b.  Raises ValidationError
     (reporting the required bound) when the bound cannot be proven to
     contain the ball, and MemoryBudgetExceeded, before anything is
     allocated, when its E (2E + 1)^2 matrices pass _WORK_CAP
@@ -243,10 +243,7 @@ def brute_force_count(spec: BallSpec, entry_bound: int) -> int:
     """
     required = required_entry_bound(spec)
     if entry_bound < required:
-        raise BoundInsufficient(
-            f"entry bound {entry_bound} below required {required}",
-            required=required,
-        )
+        raise ValidationError(f"entry bound {entry_bound} below required {required}")
     E = int(entry_bound)
     work = E * (2 * E + 1) ** 2
     if work > _WORK_CAP:

@@ -11,16 +11,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counting import DEFAULT_POINT_CAP, BallSpec, DistanceMultiset, _chunks, list_distances
-from .errors import (
-    MemoryBudgetExceeded,
-    MethodDisagreement,
-    ScheduleViolation,
-    ValidationError,
-    WindowOutOfRange,
-)
+from .errors import MemoryBudgetExceeded, MethodDisagreement, ValidationError
 from .fracint import DEFAULT_STEP, SampledSeries, frac_exp_reference, frac_integrate
 from .geometry import Point
-from .spectral.terms import _VOL_COEFF, _model_terms, main_term, spectral_variance
+from .spectral.terms import _VOL_COEFF, _model_terms, spectral_variance
 from .specfun import _as_alpha, lower_incomplete_exp
 
 __all__ = [
@@ -114,7 +108,8 @@ def sample_error(z: Point, w: Point, s_max: float, step: float = DEFAULT_STEP,
     if distances is None:
         distances = list_distances(BallSpec(z, w, s_max))
     counts = np.searchsorted(_reaching(distances, s_max), grid, side="right")
-    vals = (counts - main_term(grid)) * np.exp(-0.5 * grid)
+    # N e^{-s/2} - 3 e^{s/2}: the unscaled 3 e^s overflows from s = 708.7, where e(s) is finite
+    vals = counts * np.exp(-0.5 * grid) - _VOL_COEFF * np.exp(0.5 * grid)
     series = SampledSeries(0.0, step, vals)
     return ErrorSeries(series=series, alpha=None)
 
@@ -261,8 +256,7 @@ def _window_slice(series: SampledSeries, T: float, window: str):
         raise ValidationError(f"unknown window {window!r}")
     first, last = series.start, series.start + series.step * (series.values.size - 1)
     if lo < first - 1e-9 or hi > last + 1e-9:
-        raise WindowOutOfRange(
-            f"window [{lo}, {hi}] not covered by series [{first}, {last}]")
+        raise ValidationError(f"window [{lo}, {hi}] not covered by series [{first}, {last}]")
     i0 = _samples_below(series, lo - 1e-12)
     i1 = _samples_below(series, hi + 1e-12)
     if i1 - i0 < 2:
@@ -463,7 +457,7 @@ def hybrid_run(z: Point, w: Point, schedule: str, T_values, step: float = DEFAUL
     schedule names an entry of _SCHEDULES, each strictly decreasing in T.
     The T must be distinct, and the condition quantity 1/(alpha e^{2 T alpha})
     at most _CONDITION_MAX at every listed T (checked at T >= 9 where the
-    asymptotic regime is meant); otherwise ScheduleViolation is raised.
+    asymptotic regime is meant); otherwise ValidationError is raised.
     e(s) is sampled once, to the largest T, and integrated once per order.
     """
     if schedule not in _SCHEDULES:
@@ -473,13 +467,12 @@ def hybrid_run(z: Point, w: Point, schedule: str, T_values, step: float = DEFAUL
     if not all(T > 0.0 for T in T_values):
         raise ValidationError(f"window lengths T must be positive, got {T_values}")
     if len(set(T_values)) < len(T_values):
-        raise ScheduleViolation(f"window lengths T must be distinct, got {T_values}")
+        raise ValidationError(f"window lengths T must be distinct, got {T_values}")
     alphas = [_as_alpha(sched(T)) for T in T_values]
     conds = [schedule_condition(a, T) for a, T in zip(alphas, T_values)]
     for T, cond in zip(T_values, conds):
         if T >= 9.0 and cond > _CONDITION_MAX:
-            raise ScheduleViolation(
-                f"condition value {cond:.4g} at T={T} exceeds {_CONDITION_MAX}")
+            raise ValidationError(f"condition value {cond:.4g} at T={T} exceeds {_CONDITION_MAX}")
     base = sample_error(z, w, max(T_values), step, distances=distances)
     out = []
     for T, a, cond in zip(T_values, alphas, conds):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, ValidationError
+from .errors import NonConvergence, ValidationError
 from .specfun import _as_alpha, gauss_legendre, lower_incomplete_exp
 
 __all__ = [
@@ -125,10 +125,10 @@ def frac_exp_reference(beta: float, order, s, method: str = "closed") -> float |
     """
     alpha = _as_alpha(order)
     if beta <= 0.0:
-        raise DomainError(f"requires beta > 0, got {beta}")
+        raise ValidationError(f"requires beta > 0, got {beta}")
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0.0):
-        raise DomainError("requires s >= 0")
+        raise ValidationError("requires s >= 0")
     if method == "closed":
         from scipy.special import gammainc
 
@@ -152,16 +152,16 @@ def frac_indicator_exp(d: float, order, s) -> float | np.ndarray:
         (1/Gamma(a)) integral_d^s exp(-t/2) (s-t)^(a-1) dt   for s > d, else 0.
 
     Evaluated as exp(-s/2)/Gamma(a) * integral_0^{s-d} exp(u/2) u^(a-1) du,
-    whose integral overflows, so s - d > _INDICATOR_X_MAX is a DomainError.
+    whose integral overflows, so s - d > _INDICATOR_X_MAX is a ValidationError.
     """
     alpha = _as_alpha(order)
     if d < 0.0:
-        raise DomainError(f"requires d >= 0, got {d}")
+        raise ValidationError(f"requires d >= 0, got {d}")
     s_arr = np.asarray(s, dtype=float)
     X = np.maximum(s_arr - d, 0.0)
     if np.any(X > _INDICATOR_X_MAX):
-        raise DomainError(f"requires s - d <= {_INDICATOR_X_MAX:g}, where the integral overflows; "
-                          f"got {float(np.max(X)):g}")
+        raise ValidationError(f"requires s - d <= {_INDICATOR_X_MAX:g}, where the integral overflows; "
+                              f"got {float(np.max(X)):g}")
     out = np.exp(-0.5 * s_arr) * lower_incomplete_exp(alpha, X) / math.gamma(alpha)
     out = np.where(s_arr > d, out, 0.0)
     return float(out) if s_arr.ndim == 0 else out

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "bessel_k_imag_scaled",
@@ -91,8 +91,8 @@ def bessel_k_imag_scaled(t: float, x):
     xs = np.asarray(x, dtype=float)
     bad = xs[~((xs > 0.0) & (xs < math.inf))]
     if bad.size or not math.isfinite(t):  # name the first bad x, not the whole array
-        raise DomainError(f"K_it requires finite t and 0 < x < inf, got t = {t}"
-                          + (f", x = {bad[0]}" if bad.size else ""))
+        raise ValidationError(f"K_it requires finite t and 0 < x < inf, got t = {t}"
+                              + (f", x = {bad[0]}" if bad.size else ""))
     return _besselk_line_scaled(abs(t), xs)  # K_{it} is even in t
 
 
@@ -113,7 +113,7 @@ def lower_incomplete_exp(alpha: float, X) -> np.ndarray | float:
     alpha = _as_alpha(alpha)
     X_arr = np.asarray(X, dtype=float)
     if not np.all(X_arr >= 0.0):
-        raise DomainError("X must be >= 0 and not NaN")
+        raise ValidationError("X must be >= 0 and not NaN")
     X_arr = np.minimum(X_arr, 1500.0)
     out = X_arr ** alpha / alpha * hyp1f1(alpha, alpha + 1.0, 0.5 * X_arr)
     return float(out) if out.ndim == 0 else out

@@ -12,7 +12,6 @@ from .data import (
 )
 from .transforms import shc_direct, h_r_closed, shc_frac, r_alpha, ShcFracResult, HrResult
 from .terms import (
-    main_term,
     spectral_variance,
     VarianceSum,
     f_alpha_sum,
@@ -33,7 +32,6 @@ __all__ = [
     "r_alpha",
     "ShcFracResult",
     "HrResult",
-    "main_term",
     "spectral_variance",
     "VarianceSum",
     "f_alpha_sum",

@@ -14,11 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from ..errors import (
-    InsufficientCoefficients,
-    ParseError,
-    ValidationError,
-)
+from ..errors import ValidationError
 from ..geometry import Point, pullback
 from ..specfun import bessel_k_imag_scaled, gauss_legendre
 
@@ -102,13 +98,13 @@ def parse_spectral_data(text: str, origin: str = "<string>") -> SpectralDataset:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines or not lines[0].startswith("#group="):
-        raise ParseError(f"{origin}:1: missing '#group=' header")
+        raise ValidationError(f"{origin}:1: missing '#group=' header")
     header = lines[0]
     group_part, _, source_part = header.partition(" #source=")
     group = group_part[len("#group="):].strip()
     source = source_part.strip()
     if group != "PSL2Z":  # every model here is the modular group's
-        raise ParseError(f"{origin}:1: group tag {group!r} is not PSL2Z")
+        raise ValidationError(f"{origin}:1: group tag {group!r} is not PSL2Z")
     forms = []
     for lineno, ln in enumerate(lines[1:], start=2):
         if ln.startswith("#"):
@@ -117,28 +113,28 @@ def parse_spectral_data(text: str, origin: str = "<string>") -> SpectralDataset:
         for tok in ln.split():
             key, eq, val = tok.partition("=")
             if not eq:
-                raise ParseError(f"{origin}:{lineno}: token {tok!r} is not key=value")
+                raise ValidationError(f"{origin}:{lineno}: token {tok!r} is not key=value")
             if key in fields:
-                raise ParseError(f"{origin}:{lineno}: duplicate key {key!r}")
+                raise ValidationError(f"{origin}:{lineno}: duplicate key {key!r}")
             fields[key] = val
         unknown = set(fields) - {"t", "parity", "l2norm", "coeffs"}
         if unknown:
-            raise ParseError(f"{origin}:{lineno}: unknown keys {sorted(unknown)}")
+            raise ValidationError(f"{origin}:{lineno}: unknown keys {sorted(unknown)}")
         missing = {"t", "parity", "l2norm", "coeffs"} - set(fields)
         if missing:
-            raise ParseError(f"{origin}:{lineno}: missing keys {sorted(missing)}")
+            raise ValidationError(f"{origin}:{lineno}: missing keys {sorted(missing)}")
         try:
             t = float(fields["t"])
             l2 = None if fields["l2norm"] == "none" else float(fields["l2norm"])
             tail = [float(v) for v in fields["coeffs"].split(",") if v]
         except ValueError as exc:
-            raise ParseError(f"{origin}:{lineno}: bad numeric field: {exc}") from exc
+            raise ValidationError(f"{origin}:{lineno}: bad numeric field: {exc}") from exc
         try:
             forms.append(SpectralDatum(t=t, parity=fields["parity"],
                                        coeffs=np.concatenate([[1.0], tail]),
                                        l2norm=l2))
         except ValidationError as exc:
-            raise ParseError(f"{origin}:{lineno}: {exc}") from exc
+            raise ValidationError(f"{origin}:{lineno}: {exc}") from exc
     if not forms:
         raise ValidationError(f"{origin}: no forms in file")
     try:
@@ -204,15 +200,12 @@ def maass_value(datum: SpectralDatum, z: Point) -> float:
     """Value of the L^2-normalized form at z via its Fourier expansion.
 
     phi(z) = rho sqrt(y) sum_n a_n K_{it}(2 pi n y) tr(2 pi n x), with tr =
-    2cos (even) or 2sin (odd).  Raises InsufficientCoefficients if the
+    2cos (even) or 2sin (odd).  Raises ValidationError if the
     expansion cannot reach ~1e-8 absolute truncation error at Im z.
     """
     needed = _required_terms(bessel_decay_cutoff(datum.t), z.y)
     if needed > datum.coeffs.size:
-        raise InsufficientCoefficients(
-            f"need {needed} coefficients at y = {z.y}, have {datum.coeffs.size}",
-            required=needed,
-        )
+        raise ValidationError(f"need {needed} coefficients at y = {z.y}, have {datum.coeffs.size}")
     rho_scaled = ensure_l2norm(datum) * math.exp(-0.5 * math.pi * datum.t)
     return rho_scaled * float(_hecke_row_scaled(datum, [z.x], z.y, needed)[0])
 
@@ -256,10 +249,7 @@ def normalize_l2(datum: SpectralDatum, refine: int = 0,
     cutoff = bessel_decay_cutoff(t)
     needed = _required_terms(cutoff, math.sqrt(3.0) / 2.0)
     if needed > datum.coeffs.size:
-        raise InsufficientCoefficients(
-            f"need {needed} coefficients for normalization, have {datum.coeffs.size}",
-            required=needed,
-        )
+        raise ValidationError(f"need {needed} coefficients for normalization, have {datum.coeffs.size}")
 
     # strip 1 <= y <= Y: integral of |phi|^2 / y^2 dx dy = sum_n 2 a_n^2 K^2 / y dy
     n_y = (220 + int(14.0 * t)) << refine

@@ -18,7 +18,6 @@ from .transforms import r_alpha
 
 __all__ = [
     "MODULAR_COVOLUME",
-    "main_term",
     "spectral_variance",
     "VarianceSum",
     "f_alpha_sum",
@@ -29,13 +28,6 @@ __all__ = [
 MODULAR_COVOLUME = math.pi / 3.0
 
 _VOL_COEFF = math.pi / MODULAR_COVOLUME  # = 3 for the modular group
-
-
-def main_term(s):
-    """Smooth prediction pi e^s / vol for the ball count of radius s."""
-    s_arr = np.asarray(s, dtype=float)
-    out = _VOL_COEFF * np.exp(s_arr)
-    return float(out) if s_arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ArgumentOutOfRange, DomainError, NonConvergence
+from ..errors import NonConvergence, ValidationError
 from ..fracint import _PANEL_NODES, frac_integral_at
 from ..geometry import _MAX_RADIUS
 from ..specfun import _as_alpha, gauss_legendre
@@ -41,12 +41,12 @@ _SHC_FRAC_EVALUATIONS = 1 << 26
 def _shc_panels(s: float, t: float) -> int:
     """Panel count; ~4 oscillations per panel of _PANEL_NODES points.
 
-    DomainError past a ceiling of 4096 panels (|t| s ~ 1e5), far above the
+    ValidationError past a ceiling of 4096 panels (|t| s ~ 1e5), far above the
     t <= 100, s <= 10 the experiments use.
     """
     oscillations = abs(t) * s / (2.0 * math.pi)
     if max(oscillations / 4.0, s / 3.0) >= 4096:
-        raise DomainError(f"|t| s = {abs(t) * s:.3g} needs more than 4096 quadrature panels")
+        raise ValidationError(f"|t| s = {abs(t) * s:.3g} needs more than 4096 quadrature panels")
     panels = max(2, int(oscillations / 4.0) + 1, int(s / 3.0) + 1)
     return panels
 
@@ -64,13 +64,13 @@ def shc_direct(s, t: float, refine: int = 0):
     self-convergence tests).
     """
     if not math.isfinite(t):
-        raise DomainError(f"requires a finite t, got {t}")
+        raise ValidationError(f"requires a finite t, got {t}")
     s_arr = np.asarray(s, dtype=float)
     s_pos = s_arr.ravel()
     bad = ~((s_pos > 0.0) & (s_pos <= _MAX_RADIUS))
     if np.any(bad):
-        raise DomainError(f"requires 0 < s <= {_MAX_RADIUS}, where cosh overflows; "
-                          f"got {s_pos[bad][0]}")
+        raise ValidationError(f"requires 0 < s <= {_MAX_RADIUS}, where cosh overflows; "
+                              f"got {s_pos[bad][0]}")
     panels = _shc_panels(float(np.max(s_pos, initial=0.0)), t) << refine
     x, wq = gauss_legendre(_PANEL_NODES)
     # panels graded so each carries equal phase: uniform in r/s = 1 - xi^2
@@ -137,17 +137,17 @@ def h_r_closed(R: float, t: float) -> HrResult:
 
     Pfaff's transformation (DLMF 15.8.1) of the form in 1/(1 - e^{2R}).  The
     series needs about 20/R terms and loses digits to cancellation as R falls,
-    so R below _MIN_RADIUS is a DomainError; above it the value is within
+    so R below _MIN_RADIUS is a ValidationError; above it the value is within
     error_bound = 1e-10 |value| + 1e-13 of 40-digit quadrature for t up to
     1000.  t is real: PSL(2,Z) has no exceptional eigenvalue, so every
-    spectral parameter it meets is real, and a complex t is a DomainError.
+    spectral parameter it meets is real, and a complex t is a ValidationError.
     """
     if not _MIN_RADIUS <= R <= _MAX_RADIUS:
-        raise DomainError(f"requires {_MIN_RADIUS} <= R <= {_MAX_RADIUS}, got {R}")
+        raise ValidationError(f"requires {_MIN_RADIUS} <= R <= {_MAX_RADIUS}, got {R}")
     if isinstance(t, complex) or not math.isfinite(t):
-        raise DomainError(f"requires a finite real t, got {t}")
+        raise ValidationError(f"requires a finite real t, got {t}")
     if abs(t) < 1e-12:  # Gamma(it) has its pole at t = 0
-        raise ArgumentOutOfRange(f"closed form undefined at t = 0, got t = {t}")
+        raise ValidationError(f"closed form undefined at t = 0, got t = {t}")
     halves = _hr_halfterm(R, t) + _hr_halfterm(R, -t)
     val = math.sqrt(math.pi) * math.exp(0.5 * R) * halves.real
     return HrResult(val, 1e-10 * abs(val) + 1e-13)
@@ -160,7 +160,7 @@ def r_alpha(t: float, order) -> complex:
     """
     alpha = _as_alpha(order)
     if t == 0.0:
-        raise DomainError("undefined at t = 0")
+        raise ValidationError("undefined at t = 0")
     it = 1j * t
     return 2.0 * math.sqrt(math.pi) * _gamma_ratio(it) / it ** alpha
 
@@ -181,14 +181,14 @@ def shc_frac(s: float, t: float, order) -> ShcFracResult:
     the `asymptotic` field is Re(r_alpha(t) e^{i t s}).
     """
     if not 2.0 < s < math.inf:
-        raise DomainError(f"requires a finite s > 2, got {s}")
+        raise ValidationError(f"requires a finite s > 2, got {s}")
     if not (math.isfinite(t) and t != 0.0):
-        raise DomainError(f"requires a finite t != 0, got {t}")
+        raise ValidationError(f"requires a finite t != 0, got {t}")
     alpha = _as_alpha(order)
     panels = _shc_panels(s, t)
     # each of the panels x _PANEL_NODES radii meets at most as many transform nodes
     if (panels * _PANEL_NODES) ** 2 > _SHC_FRAC_EVALUATIONS:
-        raise DomainError(f"|t| s = {abs(t) * s:.3g} needs over {_SHC_FRAC_EVALUATIONS} evaluations")
+        raise ValidationError(f"|t| s = {abs(t) * s:.3g} needs over {_SHC_FRAC_EVALUATIONS} evaluations")
     value = frac_integral_at(lambda x: shc_direct(x, t), alpha, s, panels)
     asym = (r_alpha(t, alpha) * cmath.exp(1j * t * s)).real
     return ShcFracResult(value, float(asym))

@@ -12,7 +12,7 @@ import pytest
 
 from hypcircle.cli import _emit, _write_csv, main
 from hypcircle.counting import BallSpec, list_distances, save_distances
-from hypcircle.errors import ValidationError
+from hypcircle.errors import MemoryBudgetExceeded, NonConvergence, ValidationError
 from hypcircle.geometry import Point
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -154,18 +154,27 @@ class TestErrorTerm:
         assert path.read_bytes() == (b"s,value\n-0,0\n4.9406564584124654e-324,7\n"
                                      b"3.1415926535897931,123456789\n")
 
-    def test_non_finite_rows_refused(self, tmp_path):
-        # 3 e^s overflows from s = 708.686 on, so e(s) is -inf there: the run
-        # exits 2 with one line and writes no CSV rather than 162 rows of -inf;
-        # in a subprocess, so that numpy's RuntimeWarnings would reach stderr
+    def test_rows_finite_past_exp_overflow(self, tmp_path):
+        # 3 e^s overflows from s = 708.686 on, but e(s) = N e^{-s/2} - 3 e^{s/2}
+        # does not: every row is finite; in a subprocess, so that numpy's
+        # RuntimeWarnings would reach stderr
         cache, out = tmp_path / "c.bin", tmp_path / "e.csv"
         cache.write_bytes(struct.pack("<d", 709.0) + np.array([0.1, 0.5], dtype="<f8").tobytes())
         proc = subprocess.run([sys.executable, "-m", "hypcircle.cli", "error-term", "--cache-in",
                                str(cache), "--smax", "709", "--out", str(out)],
                               env=dict(os.environ, PYTHONPATH=str(SRC)),
                               capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 2 and proc.stdout == "" and not out.exists()
-        assert proc.stderr == "error: non-finite result at s = 708.686\n"
+        assert proc.returncode == 0 and proc.stdout == "" and proc.stderr == ""
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (709 * 512 + 1, 2) and np.all(np.isfinite(rows))
+        ref = 2.0 * math.exp(-354.5) - 3.0 * math.exp(354.5)
+        assert rows[-1, 0] == 709.0 and rows[-1, 1] == pytest.approx(ref, rel=1e-15)
+
+    def test_csv_refuses_non_finite(self, tmp_path):
+        path = tmp_path / "v.csv"
+        with pytest.raises(ValidationError, match="^non-finite result at s = 0.5$"):
+            _write_csv(path, np.array([0.0, 0.5, 1.0]), np.array([1.0, math.nan, 2.0]))
+        assert not path.exists()
 
     def test_exact_method(self, capsys, tmp_path):
         grid_path = tmp_path / "grid.csv"
@@ -512,10 +521,17 @@ def test_argument_errors_one_line(capsys, argv, message):
 @pytest.mark.parametrize("argv, message", [
     (["hybrid", "--Ts", "6,6,9"], "window lengths T must be distinct, got [6.0, 6.0, 9.0]"),
     (["error-term", "--smax", "-1", "--cache-in"], "radius must be >= 0, got -1.0"),
-], ids=["repeated_T", "negative_radius_cache"])
+    (["distribution", "--mode", "real", "--alpha", "0.5", "--T", "3", "--L", "-5"],
+     "--L sets the synthetic series length; --mode real takes --T"),
+    (["distribution", "--mode", "synthetic", "--alpha", "0.5", "--L", "10", "--T", "-3"],
+     "--T sets the real window length; --mode synthetic takes --L"),
+], ids=["repeated_T", "negative_radius_cache", "L_with_real", "T_with_synthetic"])
 def test_refusal_names_its_cause(capsys, tmp_path, argv, message):
     # a repeated T and a negative radius read with a cache are refused by name,
-    # not as a schedule that does not decrease or as an empty array of values
+    # not as a schedule that does not decrease or as an empty array of values;
+    # the other mode's length is refused, not silently ignored
+    if argv[0] == "distribution":
+        argv = argv + ["--out", str(tmp_path / "h.csv")]
     if argv[0] == "error-term":
         cache = tmp_path / "c.bin"
         save_distances(cache, list_distances(BallSpec(Point(0.0, 1.0), Point(0.0, 1.0), 2.0)))
@@ -542,6 +558,17 @@ def test_unexpected_failure_one_line(capsys, monkeypatch, exc):
     code, out, err = run(capsys, "count", "--s", "1")
     assert code == 4 and out == ""
     assert err.startswith(f"error: {type(exc).__name__}") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("exc, code", [(NonConvergence("x"), 3), (MemoryBudgetExceeded("x"), 2)],
+                         ids=["NonConvergence", "MemoryBudgetExceeded"])
+def test_package_failure_exit_code(capsys, monkeypatch, exc, code):
+    # non-convergence exits 3 and a cap exits 2, each with one line
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr("hypcircle.cli.cmd_count", fail)
+    assert run(capsys, "count", "--s", "1") == (code, "", "error: x\n")
 
 
 def test_emit_rejects_non_finite(capsys):

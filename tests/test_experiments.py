@@ -7,8 +7,8 @@ import pytest
 import scipy.stats
 
 from hypcircle import constants, counting, experiments
-from hypcircle.counting import BallSpec, list_distances
-from hypcircle.errors import ScheduleViolation, ValidationError, WindowOutOfRange
+from hypcircle.counting import BallSpec, DistanceMultiset, list_distances
+from hypcircle.errors import ValidationError
 from hypcircle.experiments import (
     DistributionEstimate,
     ErrorSeries,
@@ -57,7 +57,7 @@ class TestSampleError:
         g = err.grid
         first_pos = distances_14.values[distances_14.values > 1e-12][0]
         mask = g < first_pos - 1e-3
-        ref = (2.0 - 3.0 * np.exp(g[mask])) * np.exp(-0.5 * g[mask])
+        ref = 2.0 * np.exp(-0.5 * g[mask]) - 3.0 * np.exp(0.5 * g[mask])
         assert np.max(np.abs(err.values[mask] - ref)) == 0.0
 
     def test_jump_heights(self, distances_14):
@@ -96,6 +96,13 @@ class TestSampleError:
         # a longer list serves any smaller radius
         assert np.array_equal(sample_error(I, I, 8.0, distances=full).values,
                               sample_error(I, I, 8.0, distances=short).values)
+
+    def test_finite_past_exp_overflow(self):
+        # 3 e^s overflows from s = 708.686, where e(s) = N e^{-s/2} - 3 e^{s/2} is finite
+        err = sample_error(I, I, 709.0, distances=DistanceMultiset([0.1, 0.5], 709.0))
+        assert np.all(np.isfinite(err.values))
+        ref = 2.0 * math.exp(-354.5) - 3.0 * math.exp(354.5)
+        assert err.grid[-1] == 709.0 and err.values[-1] == pytest.approx(ref, rel=1e-15)
 
 
 class TestSampleEAlpha:
@@ -267,7 +274,7 @@ class TestMoments:
         assert wv == pytest.approx(A * A / 2.0, abs=A * A / (freq * T) * 3.0)
 
     def test_window_out_of_range(self):
-        with pytest.raises(WindowOutOfRange):
+        with pytest.raises(ValidationError, match=r"window \[3.0, 6.0\] not covered by series"):
             first_moment(const_series(1.0, T=4.0), 3.0)
 
     def test_zero_window_variant(self):
@@ -500,7 +507,7 @@ class TestHybrid:
             assert p.variance == window_variance(err, p.T, window="0T")
 
     def test_inv_T_schedule_rejected(self, distances_14):
-        with pytest.raises(ScheduleViolation):
+        with pytest.raises(ValidationError, match="condition value .* exceeds"):
             hybrid_run(I, I, "inv-T", [6.0, 9.0, 12.0], distances=distances_14)
 
     def test_unknown_schedule_rejected(self, distances_14):

@@ -12,7 +12,6 @@ from hypcircle.spectral import (
     amplitude,
     bundled_dataset,
     f_alpha_sum,
-    main_term,
     spectral_variance,
 )
 from hypcircle.spectral.terms import MODULAR_COVOLUME
@@ -38,13 +37,9 @@ class TestMainTerm:
         area = float(np.sum(w * (1.0 / np.sqrt(1.0 - nodes ** 2))))
         assert area == pytest.approx(MODULAR_COVOLUME, abs=1e-6)
 
-    def test_modular_values(self):
-        assert main_term(0.0) == pytest.approx(3.0, rel=1e-15)
-        assert main_term(10.0) == pytest.approx(3.0 * math.e ** 10, rel=1e-12)
-
 
 class TestMainTermAlpha:
-    """Fractional integral (order a, based at 0) of main_term(s) e^{-s/2}."""
+    """Fractional integral (order a, based at 0) of the main term 3 e^s times e^{-s/2}."""
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
     def test_modular_closed_form(self, alpha):
@@ -61,7 +56,7 @@ class TestMainTermAlpha:
         exact = integrated_main_term(1.0, s)
         assert exact == pytest.approx(6.0 * (math.exp(0.5 * s) - 1.0), rel=1e-13)
         grid = step * np.arange(int(round(s / step)) + 1)
-        series = SampledSeries(0.0, step, main_term(grid) * np.exp(-0.5 * grid))
+        series = SampledSeries(0.0, step, 3.0 * np.exp(0.5 * grid))
         assert frac_integrate(series, 1.0).values[-1] == pytest.approx(exact, rel=1e-6)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
@@ -70,7 +65,7 @@ class TestMainTermAlpha:
         # grid-vs-exact gap is negligible (measured max rel 1.5e-7 on [0, 9])
         step = 1.0 / 512.0
         grid = step * np.arange(int(round(9.0 / step)) + 1)
-        series = SampledSeries(0.0, step, main_term(grid) * np.exp(-0.5 * grid))
+        series = SampledSeries(0.0, step, 3.0 * np.exp(0.5 * grid))
         exact = integrated_main_term(alpha, grid)
         gap = np.max(np.abs(frac_integrate(series, alpha).values - exact))
         assert gap <= 1e-6 * np.max(exact)
