@@ -193,8 +193,6 @@ def cmd_scan_pointwise(args):
 
 
 def cmd_distribution(args):
-    if args.bins is not None and args.bins < 1:
-        raise ValidationError(f"--bins must be at least 1, got {args.bins}")
     if args.mode == "real":
         if args.L is not None:
             raise ValidationError("--L sets the synthetic series length; --mode real takes --T")

@@ -365,6 +365,8 @@ def pointwise_scan(err: ErrorSeries) -> PointwiseScan:
 # Default sample step of the synthetic series; samples per block of the phasor product.
 SYNTHETIC_STEP = 1.0 / 256.0
 _SYNTHETIC_BLOCK = 2048
+# Values taken from each sample per block of the two-sample KS merge.
+_KS_BLOCK = 2 ** 13
 
 
 def synthetic_series(amplitudes, order, L: float, step: float = SYNTHETIC_STEP) -> ErrorSeries:
@@ -395,30 +397,67 @@ def synthetic_series(amplitudes, order, L: float, step: float = SYNTHETIC_STEP) 
 def _ks_two_sample_sorted(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov distance of pre-sorted samples.
 
-    The gap between the two empirical CDFs is largest at a sample value. At
-    the last of each run of equal values in one sample its own count is the
-    position + 1, and one search of the other sample gives the other count.
+    The gap between the two empirical CDFs is largest at a sample value x,
+    where it is |ca/na - cb/nb| with ca and cb the counts of values <= x in
+    a and in b. The samples are merged a block at a time. With v the smaller
+    of a[i + B] and b[j + B] (B = _KS_BLOCK, i and j the values already
+    merged), a block takes every value below v from both samples, at most 2B
+    values; if both samples go on at v, it takes every value <= v instead,
+    the whole run of v however long. Either way the next block starts above
+    the last value of this one, so a run of equal values never straddles two
+    blocks. A stable argsort of a block is one linear merge of its two sorted
+    runs; a running count of the entries from a gives ca and cb at each
+    pooled value, and the gap is read at the last entry of each run of equal
+    values.
     """
+    na, nb = a.size, b.size
+    i = j = 0
     gap = 0.0
-    for x, y in ((a, b), (b, a)):
-        ends = np.flatnonzero(np.append(x[1:] != x[:-1], True))
-        cy = np.searchsorted(y, x[ends], side="right")
-        gap = max(gap, float(np.max(np.abs((ends + 1) / x.size - cy / y.size))))
+    while i < na or j < nb:
+        v = min(a[i + _KS_BLOCK] if i + _KS_BLOCK < na else math.inf,
+                b[j + _KS_BLOCK] if j + _KS_BLOCK < nb else math.inf)
+        side = "right" if (i == na or a[i] >= v) and (j == nb or b[j] >= v) else "left"
+        i1, j1 = int(np.searchsorted(a, v, side)), int(np.searchsorted(b, v, side))
+        block = np.concatenate([a[i:i1], b[j:j1]])
+        order = np.argsort(block, kind="stable")
+        in_a = np.cumsum(order < i1 - i)
+        block = block[order]
+        ends = np.flatnonzero(np.append(block[1:] != block[:-1], True))
+        ca = in_a[ends]
+        cb = ends + (j + 1) - ca
+        ca += i
+        gap = max(gap, float(np.max(np.abs(ca / na - cb / nb))))
+        i, j = i1, j1
     return gap
 
 
 def distribution_estimate(err: ErrorSeries, bins="fd") -> DistributionEstimate:
-    """Histogram, moments, and a half-vs-half KS stationarity diagnostic."""
+    """Histogram, moments, and a half-vs-half KS stationarity diagnostic.
+
+    bins is "fd" or an integer >= 1. The two halves are sorted once, and the
+    KS distance and the histogram counts are read from them. The edges are
+    np.histogram_bin_edges of the series, and bin k counts the values in
+    [e_k, e_{k+1}), the last bin closed, so edges and counts are np.histogram's.
+    """
+    if not (isinstance(bins, str) and bins == "fd" or isinstance(bins, int) and bins >= 1):
+        raise ValidationError(f"bins must be 'fd' or an integer >= 1, got {bins!r}")
     vals = err.values
     if vals.size < 2:
         raise ValidationError(f"a distribution estimate needs at least 2 samples, got {vals.size}")
-    counts, edges = np.histogram(vals, bins=bins)
     half = vals.size // 2
     a = np.sort(vals[:half])
     b = np.sort(vals[half:])
+    # a sort puts -inf first and inf and NaN last
+    for x in (a[0], a[-1], b[0], b[-1]):
+        if not math.isfinite(x):
+            raise ValidationError(f"a distribution estimate needs finite samples, got {x}")
     ks = _ks_two_sample_sorted(a, b)
+    edges = np.histogram_bin_edges(vals, bins)
+    # values below each edge; the top edge is the maximum, and the last bin holds it
+    below = np.searchsorted(a, edges) + np.searchsorted(b, edges)
+    below[-1] = vals.size
     return DistributionEstimate(
-        edges=edges, counts=counts,
+        edges=edges, counts=np.diff(below),
         mean=float(np.mean(vals)), variance=float(np.var(vals)),
         count=int(vals.size), ks_halves=ks,
     )

@@ -460,6 +460,64 @@ class TestDistribution:
         ref = scipy.stats.ks_2samp(vals[:1000], vals[1000:]).statistic
         assert est.ks_halves == pytest.approx(ref, abs=1e-15)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_ks_blocks_match_scipy(self, monkeypatch, block):
+        # tie-heavy samples, a run of equal values longer than a block, and
+        # one sample wholly below the other, merged a few values at a time
+        monkeypatch.setattr(experiments, "_KS_BLOCK", block)
+        rng = np.random.default_rng(block)
+        pairs = [(np.sort(rng.integers(0, rng.integers(1, 6), rng.integers(1, 60)).astype(float)),
+                  np.sort(rng.integers(0, rng.integers(1, 6), rng.integers(1, 60)).astype(float)))
+                 for _ in range(100)]
+        pairs += [
+            (np.array([0.0, 1.0] + [2.0] * 20 + [3.0]), np.array([2.0] * 9 + [4.0])),
+            (np.full(15, 5.0), np.full(4, 5.0)),
+            (np.arange(10.0), np.arange(20.0, 27.0)),
+            (np.arange(20.0, 27.0), np.arange(10.0)),
+            (np.array([1.0]), np.array([1.0, 1.0, 2.0])),
+        ]
+        for a, b in pairs:
+            ref = scipy.stats.ks_2samp(a, b).statistic
+            assert experiments._ks_two_sample_sorted(a, b) == pytest.approx(ref, abs=1e-15)
+
+    @pytest.mark.parametrize("bins", ["fd", 1, 8, 25])
+    def test_histogram_matches_numpy(self, bins):
+        # values on interior edges and the maximum on the closed last edge,
+        # ties, a constant series and odd lengths count as np.histogram does
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(1001)
+        series = [x, rng.integers(-4, 5, 2001).astype(float), np.full(9, 0.3), np.arange(11.0)]
+        if bins != "fd":
+            # edges of bins >= 1 depend on the minimum and maximum only
+            series.append(np.concatenate([x, np.repeat(np.histogram_bin_edges(x, bins), 3)]))
+        for vals in series:
+            est = distribution_estimate(ErrorSeries(SampledSeries(0.0, 0.5, vals), alpha=None), bins)
+            counts, edges = np.histogram(vals, bins)
+            assert est.edges.tobytes() == edges.tobytes()
+            assert est.counts.dtype == counts.dtype and np.array_equal(est.counts, counts)
+
+    def test_peak_memory(self, numpy_peak):
+        # the sorted halves and the percentiles' working copy of the series,
+        # about twice its bytes; a small first call takes numpy's one-time
+        # imports out of the count
+        vals = np.random.default_rng(3).standard_normal(2 ** 20)
+        distribution_estimate(ErrorSeries(SampledSeries(0.0, 0.5, vals[:64]), alpha=None))
+        err = ErrorSeries(SampledSeries(0.0, 0.5, vals), alpha=None)
+        assert numpy_peak(lambda: distribution_estimate(err)) < 2.25 * vals.nbytes
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_refused(self, bad):
+        vals = np.arange(12.0)
+        vals[4] = bad
+        with pytest.raises(ValidationError, match=f"needs finite samples, got {bad}"):
+            distribution_estimate(ErrorSeries(SampledSeries(0.0, 0.5, vals), alpha=None))
+
+    @pytest.mark.parametrize("bins", [0, -3, 2.5, "auto", None, [0.0, 1.0]])
+    def test_bad_bins_refused(self, bins):
+        ser = cosine_series(1.0, 5.0, T=10.0)
+        with pytest.raises(ValidationError, match="bins must be 'fd' or an integer >= 1"):
+            distribution_estimate(ser, bins)
+
     def test_real_data_within_pointwise_bound(self, distances_14):
         err = sample_e_alpha(I, I, 0.75, 14.0, distances=distances_14)
         scan = pointwise_scan(err)
