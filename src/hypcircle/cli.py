@@ -28,6 +28,7 @@ from .errors import HypCircleError, NonConvergence, ValidationError
 from .experiments import (
     SYNTHETIC_STEP,
     ErrorSeries,
+    _check_bins,
     _grid_size,
     distribution_estimate,
     first_moment,
@@ -193,6 +194,8 @@ def cmd_scan_pointwise(args):
 
 
 def cmd_distribution(args):
+    bins = "fd" if args.bins is None else args.bins
+    _check_bins(bins)  # before the series is built
     if args.mode == "real":
         if args.L is not None:
             raise ValidationError("--L sets the synthetic series length; --mode real takes --T")
@@ -204,7 +207,7 @@ def cmd_distribution(args):
         step = SYNTHETIC_STEP if args.step is None else args.step
         amps = amplitude(_dataset(args.spectral), args.z, args.w)
         err = synthetic_series(amps, args.alpha, 1e5 if args.L is None else args.L, step)
-    est = distribution_estimate(err, bins="fd" if args.bins is None else args.bins)
+    est = distribution_estimate(err, bins)
     centers = 0.5 * (est.edges[:-1] + est.edges[1:])
     _write_csv(args.out, centers, est.counts)
     _emit({

@@ -433,6 +433,19 @@ def test_empty_window_rejected(capsys, tmp_path, argv):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_bad_bins_refused_before_series(capsys, monkeypatch, tmp_path, bins):
+    # a bad --bins ends with exit 2 and one line before the series is built
+    def fail(*args, **kwargs):
+        raise AssertionError("synthetic_series called")
+
+    monkeypatch.setattr("hypcircle.cli.synthetic_series", fail)
+    code, out, err = run(capsys, "distribution", "--mode", "synthetic", "--alpha", "0.25",
+                         "--bins", bins, "--out", str(tmp_path / "out.csv"))
+    assert (code, out) == (2, "")
+    assert err == f"error: bins must be 'fd' or an integer >= 1, got {bins}\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["error-term", "--smax", "nan"], "radius nan is not finite"),
     (["error-term", "--smax", "inf", "--alpha", "0.5"], "radius inf is not finite"),

@@ -281,6 +281,50 @@ class TestMoments:
         s = cosine_series(1.0, 3.0, T=50.0)
         assert abs(first_moment(s, 40.0, window="0T")) <= 0.02
 
+    @pytest.mark.parametrize("block", [2 ** 16, 97])
+    def test_moments_match_trapezoid(self, monkeypatch, block):
+        # the uniform-grid sum agrees with np.trapezoid on the window's grid:
+        # random windows and series, nonzero starts, both windows, and
+        # windows of two and three samples; a block of 97 samples splits
+        # every longer window into many sums and a partial last block
+        monkeypatch.setattr(experiments, "_MOMENT_BLOCK", block)
+        rng = np.random.default_rng(17)
+        cases = [(0.0, 1.0, 3, 1.0, "0T"), (0.0, 1.0, 3, 1.0, "T2T"), (0.5, 0.5, 4, 0.5, "T2T"),
+                 (0.0, 0.5, 3, 1.0, "0T"), (0.0, 0.5, 5, 1.0, "T2T"), (-0.1, 0.1, 4, 0.2, "0T")]
+        for k in range(200):
+            step, window = (1.0 / 512.0, 0.1, 1.0 / 3.0)[k % 3], ("T2T", "0T")[k % 2]
+            n = int(rng.integers(200, 40000))
+            span = (n - 1) * step
+            if window == "T2T":
+                start = rng.uniform(0.05, 0.3) * span
+                T = rng.uniform(start, 0.5 * (start + span))
+            else:
+                start = -rng.uniform(0.0, 0.5) * span
+                T = rng.uniform(0.1, 1.0) * (start + span)
+            cases.append((start, step, n, T, window))
+        sizes = set()
+        for start, step, n, T, window in cases:
+            vals = rng.standard_normal(n) * rng.uniform(0.1, 10.0) + rng.uniform(-3.0, 3.0)
+            err = ErrorSeries(SampledSeries(start, step, vals), alpha=None)
+            lo, hi = (T, 2.0 * T) if window == "T2T" else (0.0, T)
+            grid = err.series.grid
+            i0, i1 = np.searchsorted(grid, lo - 1e-12), np.searchsorted(grid, hi + 1e-12)
+            g, v = grid[i0:i1], vals[i0:i1]
+            sizes.add(v.size)
+            for fn, y in ((first_moment, v), (window_variance, v * v)):
+                ref = np.trapezoid(y, g) / (g[-1] - g[0])
+                assert abs(fn(err, T, window) - ref) <= 1e-12 * np.mean(np.abs(y))
+        assert {2, 3} <= sizes
+
+    def test_moments_peak_memory(self, numpy_peak):
+        # no grid and no series-sized temporary: block-sized squares only
+        vals = np.random.default_rng(3).standard_normal(2 ** 20)
+        err = ErrorSeries(SampledSeries(0.0, 1.0 / 512.0, vals), alpha=None)
+        window_variance(ErrorSeries(SampledSeries(0.0, 0.5, vals[:64]), alpha=None), 4.0)
+        for fn in (first_moment, window_variance):
+            assert numpy_peak(lambda: fn(err, 600.0)) < 2 ** 20
+            assert numpy_peak(lambda: fn(err, 1000.0, window="0T")) < 2 ** 20
+
     def test_window_edges_match_grid_search(self):
         # the window's first and last samples are those a search of the whole
         # grid finds, at grid points and a hair to either side of them
@@ -483,7 +527,8 @@ class TestDistribution:
     @pytest.mark.parametrize("bins", ["fd", 1, 8, 25])
     def test_histogram_matches_numpy(self, bins):
         # values on interior edges and the maximum on the closed last edge,
-        # ties, a constant series and odd lengths count as np.histogram does
+        # ties, a constant series and odd lengths count as np.histogram does,
+        # and the mean and variance are np.mean's and np.var's bit for bit
         rng = np.random.default_rng(7)
         x = rng.standard_normal(1001)
         series = [x, rng.integers(-4, 5, 2001).astype(float), np.full(9, 0.3), np.arange(11.0)]
@@ -495,15 +540,17 @@ class TestDistribution:
             counts, edges = np.histogram(vals, bins)
             assert est.edges.tobytes() == edges.tobytes()
             assert est.counts.dtype == counts.dtype and np.array_equal(est.counts, counts)
+            assert (est.mean, est.variance) == (float(np.mean(vals)), float(np.var(vals)))
 
     def test_peak_memory(self, numpy_peak):
-        # the sorted halves and the percentiles' working copy of the series,
-        # about twice its bytes; a small first call takes numpy's one-time
-        # imports out of the count
+        # the sorted halves, one series' bytes, and the KS merge's blocks: the
+        # variance temporary and the percentiles' copy of the series are freed
+        # before the halves are made; a small first call takes numpy's
+        # one-time imports out of the count
         vals = np.random.default_rng(3).standard_normal(2 ** 20)
         distribution_estimate(ErrorSeries(SampledSeries(0.0, 0.5, vals[:64]), alpha=None))
         err = ErrorSeries(SampledSeries(0.0, 0.5, vals), alpha=None)
-        assert numpy_peak(lambda: distribution_estimate(err)) < 2.25 * vals.nbytes
+        assert numpy_peak(lambda: distribution_estimate(err)) < 1.25 * vals.nbytes
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_refused(self, bad):
