@@ -26,7 +26,6 @@ from .counting import (
 )
 from .errors import HypCircleError, NonConvergence, ValidationError
 from .experiments import (
-    SYNTHETIC_STEP,
     ErrorSeries,
     _check_bins,
     _grid_size,
@@ -141,15 +140,15 @@ def cmd_error_term(args):
     # reject a bad order or an oversized grid before enumerating
     if args.alpha is not None:
         _as_alpha(args.alpha)
-    _grid_size(args.smax, args.step)
+    _grid_size(args.smax, DEFAULT_STEP)
     if args.cache_in:
         distances = load_distances(args.cache_in, args.smax)
     else:
         distances = list_distances(BallSpec(args.z, args.w, args.smax))
     if args.alpha is None:
-        err = sample_error(args.z, args.w, args.smax, args.step, distances=distances)
+        err = sample_error(args.z, args.w, args.smax, distances=distances)
     else:
-        err = sample_e_alpha(args.z, args.w, args.alpha, args.smax, args.step,
+        err = sample_e_alpha(args.z, args.w, args.alpha, args.smax,
                              method=args.method, distances=distances)
     # only an enumeration writes a cache: one read with --cache-in is cut to --smax
     if args.cache and not args.cache_in:
@@ -170,7 +169,7 @@ def cmd_variance(args):
     dataset = _dataset(args.spectral)
     amps = amplitude(dataset, args.z, args.w)
     s_need = 2.0 * args.T if args.window == "T2T" else args.T
-    err = sample_e_alpha(args.z, args.w, args.alpha, s_need, args.step)
+    err = sample_e_alpha(args.z, args.w, args.alpha, s_need)
     rep = variance_report(err, amps, args.alpha, args.T, t_max=args.tmax,
                           window=args.window)
     _emit({
@@ -182,7 +181,7 @@ def cmd_variance(args):
 
 
 def cmd_scan_pointwise(args):
-    err = sample_e_alpha(args.z, args.w, args.alpha, args.smax, args.step)
+    err = sample_e_alpha(args.z, args.w, args.alpha, args.smax)
     scan = pointwise_scan(err)
     _emit({
         "alpha": scan.alpha,
@@ -199,14 +198,12 @@ def cmd_distribution(args):
     if args.mode == "real":
         if args.L is not None:
             raise ValidationError("--L sets the synthetic series length; --mode real takes --T")
-        step = DEFAULT_STEP if args.step is None else args.step
-        err = sample_e_alpha(args.z, args.w, args.alpha, 12.0 if args.T is None else args.T, step)
+        err = sample_e_alpha(args.z, args.w, args.alpha, 12.0 if args.T is None else args.T)
     else:
         if args.T is not None:
             raise ValidationError("--T sets the real window length; --mode synthetic takes --L")
-        step = SYNTHETIC_STEP if args.step is None else args.step
         amps = amplitude(_dataset(args.spectral), args.z, args.w)
-        err = synthetic_series(amps, args.alpha, 1e5 if args.L is None else args.L, step)
+        err = synthetic_series(amps, args.alpha, 1e5 if args.L is None else args.L)
     est = distribution_estimate(err, bins)
     centers = 0.5 * (est.edges[:-1] + est.edges[1:])
     _write_csv(args.out, centers, est.counts)
@@ -219,7 +216,7 @@ def cmd_distribution(args):
 
 
 def cmd_hybrid(args):
-    points = hybrid_run(args.z, args.w, args.schedule, args.Ts, step=args.step)
+    points = hybrid_run(args.z, args.w, args.schedule, args.Ts)
     _emit({
         "T": [p.T for p in points],
         "alpha": [p.alpha for p in points],
@@ -263,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("error-term", help="sample e(s) or its fractional integral")
     add_zw(sp)
     sp.add_argument("--smax", type=float, required=True)
-    sp.add_argument("--step", type=float, default=DEFAULT_STEP)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--method", choices=["grid", "exact"], default="grid")
     sp.add_argument("--out", required=True)
@@ -285,14 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spectral", default=None, help="spectral data file")
     sp.add_argument("--tmax", type=float, default=math.inf)
     sp.add_argument("--window", choices=["T2T", "0T"], default="0T")
-    sp.add_argument("--step", type=float, default=DEFAULT_STEP)
     sp.set_defaults(func=cmd_variance)
 
     sp = sub.add_parser("scan-pointwise", help="pointwise bound envelope scan")
     add_zw(sp)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--smax", type=float, required=True)
-    sp.add_argument("--step", type=float, default=DEFAULT_STEP)
     sp.set_defaults(func=cmd_scan_pointwise)
 
     sp = sub.add_parser("distribution", help="limiting-distribution estimate")
@@ -302,8 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--T", type=float, default=None, help="real mode: window length (default 12)")
     sp.add_argument("--L", type=float, default=None,
                     help="synthetic mode: series length (default 1e5)")
-    sp.add_argument("--step", type=float, default=None,
-                    help="sample step (default 1/512 real, 1/256 synthetic)")
     sp.add_argument("--spectral", default=None)
     sp.add_argument("--bins", type=int, default=None)
     sp.add_argument("--out", required=True)
@@ -313,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_zw(sp)
     sp.add_argument("--schedule", choices=["inv-sqrt", "inv-T"], default="inv-sqrt")
     sp.add_argument("--Ts", type=_floats, required=True, help="comma-separated T values")
-    sp.add_argument("--step", type=float, default=DEFAULT_STEP)
     sp.set_defaults(func=cmd_hybrid)
 
     sp = sub.add_parser("shc", help="kernel transform values")

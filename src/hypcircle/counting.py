@@ -284,12 +284,16 @@ def load_distances(path, s: float) -> DistanceMultiset:
     """The cached distances <= s; a cache written at a larger radius is cut to s.
 
     One written at a smaller radius is rejected, and so is the older layout:
-    its u64 count reads as a subnormal radius.
+    its u64 count reads as a subnormal radius.  A file storing more than
+    DEFAULT_POINT_CAP values raises MemoryBudgetExceeded before any is read.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < 8 or size % 8:
             raise ValidationError(f"distance file {path} holds {size} bytes, not a positive multiple of 8")
+        if size // 8 - 1 > DEFAULT_POINT_CAP:
+            raise MemoryBudgetExceeded(f"distance file {path} stores {size // 8 - 1} values, "
+                                       f"past cap {DEFAULT_POINT_CAP}")
         (radius,) = struct.unpack("<d", fh.read(8))
         if not radius >= s:
             raise ValidationError(f"distance file {path} was written at radius {radius:g}, below {s:g}")

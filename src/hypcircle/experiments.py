@@ -97,27 +97,25 @@ def _reaching(distances: DistanceMultiset, s_max: float) -> np.ndarray:
     return distances.values
 
 
-def sample_error(z: Point, w: Point, s_max: float, step: float = DEFAULT_STEP,
+def sample_error(z: Point, w: Point, s_max: float,
                  distances: DistanceMultiset | None = None) -> ErrorSeries:
-    """Normalized remainder e(s) = (N(s) - M(s)) e^{-s/2} on the grid k*step.
+    """Normalized remainder e(s) = (N(s) - M(s)) e^{-s/2} on the grid k/512.
 
     One enumeration at s_max supplies N at every grid point through prefix
     counts of the sorted distance list.
     """
-    grid = step * np.arange(_grid_size(s_max, step))
+    grid = DEFAULT_STEP * np.arange(_grid_size(s_max, DEFAULT_STEP))
     if distances is None:
         distances = list_distances(BallSpec(z, w, s_max))
     counts = np.searchsorted(_reaching(distances, s_max), grid, side="right")
     # N e^{-s/2} - 3 e^{s/2}: the unscaled 3 e^s overflows from s = 708.7, where e(s) is finite
     vals = counts * np.exp(-0.5 * grid) - _VOL_COEFF * np.exp(0.5 * grid)
-    series = SampledSeries(0.0, step, vals)
-    return ErrorSeries(series=series, alpha=None)
+    return ErrorSeries(series=SampledSeries(0.0, DEFAULT_STEP, vals), alpha=None)
 
 
-def sample_e_alpha(z: Point, w: Point, order, s_max: float,
-                   step: float = DEFAULT_STEP, method: str = "grid",
+def sample_e_alpha(z: Point, w: Point, order, s_max: float, method: str = "grid",
                    distances: DistanceMultiset | None = None) -> ErrorSeries:
-    """Fractionally integrated normalized remainder on the grid k*step in [0, s_max].
+    """Fractionally integrated normalized remainder on the grid k/512 in [0, s_max].
 
     method="grid" integrates the sampled e(s) with the product rule, which
     moves every orbit jump to the next sample.  method="exact" takes
@@ -131,28 +129,27 @@ def sample_e_alpha(z: Point, w: Point, order, s_max: float,
     alpha = _as_alpha(order)
     if method not in ("grid", "exact"):
         raise ValidationError(f"unknown method {method!r}")
-    _grid_size(s_max, step)
+    _grid_size(s_max, DEFAULT_STEP)
     if distances is None:
         distances = list_distances(BallSpec(z, w, s_max))
-    grid_path = frac_integrate(sample_error(z, w, s_max, step, distances=distances).series, alpha)
+    grid_path = frac_integrate(sample_error(z, w, s_max, distances=distances).series, alpha)
     if method == "grid":
         return ErrorSeries(series=grid_path, alpha=alpha)
-    vals = exact_e_alpha(distances, alpha, s_max, step)
+    vals = exact_e_alpha(distances, alpha, s_max)
     idx = np.linspace(0, vals.size - 1, _CROSSCHECK_POINTS).astype(int)
     diff = float(np.max(np.abs(grid_path.values[idx] - vals[idx])))
-    budget = method_budget(alpha, step)
+    budget = method_budget(alpha)
     if diff > 10.0 * budget:
         warnings.warn(f"grid/exact fractional error terms differ by {diff:.3e} "
                       f"(budget {budget:.3e})", MethodDisagreement)
-    return ErrorSeries(series=SampledSeries(0.0, step, vals), alpha=alpha)
+    return ErrorSeries(series=SampledSeries(0.0, DEFAULT_STEP, vals), alpha=alpha)
 
 
 _CHEB_DEGREE = 18  # of the interpolant of L on every cell past the first
 
 
-def exact_e_alpha(distances: DistanceMultiset, alpha: float, s_max: float,
-                  step: float = DEFAULT_STEP) -> np.ndarray:
-    """Exact e_alpha on the grid s_j = j*step in [0, s_max] (the grid of sample_e_alpha).
+def exact_e_alpha(distances: DistanceMultiset, alpha: float, s_max: float) -> np.ndarray:
+    """Exact e_alpha on the grid s_j = j/512 in [0, s_max] (the grid of sample_e_alpha).
 
     e_alpha(s) = exp(-s/2)/Gamma(alpha) sum_{d < s} L(s - d) - 3 I_alpha(e^{t/2})(s)
     with L(X) = int_0^X e^{u/2} u^{alpha-1} du, summed over the distance
@@ -172,12 +169,13 @@ def exact_e_alpha(distances: DistanceMultiset, alpha: float, s_max: float,
     m = 2), so the interpolant is within 4 M rho^{-J}/(rho-1) of it, twice
     the truncated series' 2 M rho^{-J}/(rho-1) (Trefethen, Approximation
     Theory and Approximation Practice, SIAM 2013, Thm 8.2); M is the largest
-    |L| on the ellipse over L on the cell.  At rho = 5.8 and the default
-    step, M <= 3.0 for every m >= 2 and alpha, so the truncation error of
+    |L| on the ellipse over L on the cell.  At rho = 5.8 and the step
+    1/512, M <= 3.0 for every m >= 2 and alpha, so the truncation error of
     e_alpha(s) is at most 4.5e-14 times the sum of the positive jump terms,
     e_alpha(s) + 3 I_alpha(e^{t/2})(s).
     """
     alpha = _as_alpha(alpha)
+    step = DEFAULT_STEP
     n = _grid_size(s_max, step)
     grid = step * np.arange(n)
     d = _reaching(distances, s_max)
@@ -219,17 +217,15 @@ _METHOD_BUDGET_TABLE = ((0.1, 0.25), (0.25, 0.25), (0.5, 0.08),
                         (0.75, 0.06), (1.0, 0.06))
 
 
-def method_budget(alpha: float, step: float = DEFAULT_STEP) -> float:
-    """Grid-vs-exact disagreement allowance.
+def method_budget(alpha: float) -> float:
+    """Grid-vs-exact disagreement allowance on the grid k/512.
 
     The grid method moves every orbit jump to the next sample point, so its
     error is controlled by the jump masses, not by smooth-function rates;
-    the table interpolates pinned reference measurements and rescales by
-    (step / (1/512))^alpha.
+    the table interpolates pinned reference measurements.
     """
     pts = np.array(_METHOD_BUDGET_TABLE)
-    base = float(np.interp(alpha, pts[:, 0], pts[:, 1]))
-    return base * (step / DEFAULT_STEP) ** alpha
+    return float(np.interp(alpha, pts[:, 0], pts[:, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +496,7 @@ def schedule_condition(alpha: float, T: float) -> float:
     return 1.0 / (alpha * math.exp(2.0 * T * alpha))
 
 
-def hybrid_run(z: Point, w: Point, schedule: str, T_values, step: float = DEFAULT_STEP,
+def hybrid_run(z: Point, w: Point, schedule: str, T_values,
                distances: DistanceMultiset | None = None) -> list[HybridPoint]:
     """Variances over the windows [0, T] along a vanishing-order schedule alpha(T).
 
@@ -523,7 +519,7 @@ def hybrid_run(z: Point, w: Point, schedule: str, T_values, step: float = DEFAUL
     for T, cond in zip(T_values, conds):
         if T >= 9.0 and cond > _CONDITION_MAX:
             raise ValidationError(f"condition value {cond:.4g} at T={T} exceeds {_CONDITION_MAX}")
-    base = sample_error(z, w, max(T_values), step, distances=distances)
+    base = sample_error(z, w, max(T_values), distances=distances)
     out = []
     for T, a, cond in zip(T_values, alphas, conds):
         err = ErrorSeries(series=frac_integrate(base.series, a), alpha=a)

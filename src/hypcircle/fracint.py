@@ -30,7 +30,8 @@ __all__ = [
     "DEFAULT_STEP",
 ]
 
-# Default grid spacing; quoted accuracy budgets elsewhere assume this value.
+# The sample step of every lattice run, the grid s = k/512; the accuracy budgets quoted
+# for lattice samples assume it. SampledSeries and frac_integrate take any uniform step.
 DEFAULT_STEP = 1.0 / 512.0
 
 # Largest s - d frac_indicator_exp accepts: lower_incomplete_exp overflows from 1418.

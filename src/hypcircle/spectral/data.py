@@ -230,12 +230,15 @@ def _hecke_row_scaled(datum: SpectralDatum, xs, y, n_terms) -> np.ndarray:
     return (np.sqrt(y)[..., None, None] * tr @ weights[..., None])[..., 0]
 
 
-def normalize_l2(datum: SpectralDatum, refine: int = 0,
-                 truncation_height: float | None = None) -> float:
+# Margin of the truncation height Y above t/(2 pi), past which K_{it}(2 pi y) decays exponentially.
+_TRUNCATION_MARGIN = 3.0
+
+
+def normalize_l2(datum: SpectralDatum, refine: int = 0) -> float:
     """Constant rho making rho * (Hecke-normalized form) have unit L^2 norm.
 
     Integrates |form|^2 over the standard fundamental domain truncated at
-    height Y = t/(2 pi) + 3 (overridable): the strip above y = 1 uses exact
+    height Y = t/(2 pi) + 3 (> 1 for every t): the strip above y = 1 uses exact
     Fourier orthogonality, the arc region sqrt(3)/2 <= y < 1 is a 2-d
     quadrature, and the tail above Y is estimated from the exponential decay
     of the leading term.  Relative accuracy ~1e-4 (refine doubles node
@@ -243,9 +246,7 @@ def normalize_l2(datum: SpectralDatum, refine: int = 0,
     the strip, the rows of every arc height, and the tail.
     """
     t = datum.t
-    Y = truncation_height if truncation_height is not None else t / (2.0 * math.pi) + 3.0
-    if not 1.0 < Y < math.inf:  # the strip is 1 <= y <= Y
-        raise ValidationError(f"truncation height must be finite and above 1, got {Y}")
+    Y = t / (2.0 * math.pi) + _TRUNCATION_MARGIN
     cutoff = bessel_decay_cutoff(t)
     needed = _required_terms(cutoff, math.sqrt(3.0) / 2.0)
     if needed > datum.coeffs.size:

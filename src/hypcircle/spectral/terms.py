@@ -1,8 +1,8 @@
-"""Main term of the counting asymptotics and spectral second-moment sums.
+"""Spectral second-moment sums and the almost-periodic model of e_alpha.
 
-For the modular group the main term is the single exponential pi e^s / vol:
-the secondary terms of the general formula (small eigenvalues, eigenvalue
-1/4, cusp values at the centre of the critical line) all vanish for PSL(2,Z).
+The counting main term is pi e^s / vol = 3 e^s for the modular covolume pi/3;
+the secondary terms of the general formula (small eigenvalues, eigenvalue 1/4,
+cusp values at the centre of the critical line) all vanish for PSL(2,Z).
 """
 
 from __future__ import annotations

@@ -137,12 +137,11 @@ def test_spaced_negative_point(capsys, argv):
 class TestErrorTerm:
     def test_csv_format(self, capsys, tmp_path):
         out_path = tmp_path / "e.csv"
-        code, _, _ = run(capsys, "error-term", "--smax", "4", "--step", "0.0078125",
-                         "--out", str(out_path))
+        code, _, _ = run(capsys, "error-term", "--smax", "4", "--out", str(out_path))
         assert code == 0
         lines = out_path.read_text().splitlines()
         assert lines[0] == "s,value"
-        assert len(lines) == int(4 / 0.0078125) + 2
+        assert len(lines) == 4 * 512 + 2
         s0, v0 = lines[1].split(",")
         assert float(s0) == 0.0
         assert float(v0) == pytest.approx(-1.0)
@@ -180,8 +179,8 @@ class TestErrorTerm:
         grid_path = tmp_path / "grid.csv"
         exact_path = tmp_path / "exact.csv"
         for method, path in (("grid", grid_path), ("exact", exact_path)):
-            code, _, _ = run(capsys, "error-term", "--smax", "4", "--step", "0.03125",
-                             "--alpha", "0.5", "--method", method, "--out", str(path))
+            code, _, _ = run(capsys, "error-term", "--smax", "4", "--alpha", "0.5",
+                             "--method", method, "--out", str(path))
             assert code == 0
         g = [float(ln.split(",")[1]) for ln in grid_path.read_text().splitlines()[1:]]
         e = [float(ln.split(",")[1]) for ln in exact_path.read_text().splitlines()[1:]]
@@ -189,6 +188,7 @@ class TestErrorTerm:
 
     @pytest.mark.parametrize("step", ["0", "-1"])
     def test_bad_step(self, capsys, tmp_path, step):
+        # the step is fixed at 1/512, so any --step is refused
         code, _, err = run(capsys, "error-term", "--smax", "2", "--step", step,
                            "--out", str(tmp_path / "e.csv"))
         assert code == 2
@@ -344,14 +344,11 @@ class TestJsonCommands:
         assert payload["count"] > 0
 
     def test_distribution_synthetic_step(self, capsys, tmp_path):
-        # --step sets the synthetic sample step; without it the step is 1/256
-        counts = []
-        for extra in ([], ["--step", "0.01"]):
-            code, out, _ = run(capsys, "distribution", "--mode", "synthetic", "--alpha", "0.5",
-                               "--L", "100", "--out", str(tmp_path / "hist.csv"), *extra)
-            assert code == 0
-            counts.append(json.loads(out)["count"])
-        assert counts == [25601, 10001]
+        # the synthetic series is sampled on s = k/256
+        code, out, _ = run(capsys, "distribution", "--mode", "synthetic", "--alpha", "0.5",
+                           "--L", "100", "--out", str(tmp_path / "hist.csv"))
+        assert code == 0
+        assert json.loads(out)["count"] == 25601
 
     def test_hybrid(self, capsys):
         code, out, _ = run(capsys, "hybrid", "--schedule", "inv-sqrt",
@@ -413,8 +410,9 @@ class TestJsonCommands:
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_empty_window_rejected(capsys, tmp_path, argv):
     # a window with fewer than two samples, a single scan point, an infinite
-    # length, a step that is not positive and finite or gives more samples
-    # than the cap, a NaN or huge spectral parameter, a radius where cosh
+    # length, a --step (no subcommand takes one: lattice runs sample on
+    # s = k/512, the synthetic model on s = k/256), a NaN or huge spectral
+    # parameter, a radius where cosh
     # overflows, a fractional transform over its node budget, a NaN cut-off,
     # fewer than one histogram bin, a point so near a cusp or so high that
     # its reduction underflows or its translates pass 2^50, or an oracle whose
@@ -522,10 +520,21 @@ def test_other_group_spectral_file_rejected(capsys, tmp_path, command):
     (("count",), "required: --s"),
     (("count", "--s", "1", "--bogus"), "unrecognized arguments: --bogus"),
     (("nosuch",), "invalid choice: 'nosuch'"),
-])
+] + [(argv + ("--step", "0.01"), "unrecognized arguments: --step 0.01") for argv in (
+    ("count", "--s", "1"),
+    ("error-term", "--smax", "3", "--out", "e.csv"),
+    ("moments", "--in", "e.csv", "--T", "1"),
+    ("variance", "--alpha", "0.5", "--T", "2"),
+    ("scan-pointwise", "--alpha", "0.5", "--smax", "9"),
+    ("distribution", "--mode", "real", "--alpha", "0.5", "--out", "h.csv"),
+    ("distribution", "--mode", "synthetic", "--alpha", "0.5", "--out", "h.csv"),
+    ("hybrid", "--Ts", "6"),
+    ("shc", "--s", "1", "--t", "1"),
+)])
 def test_argument_errors_one_line(capsys, argv, message):
     # argparse printed its usage and "hypcircle count: error: ..." and read a
-    # point's own message as "invalid _point value"
+    # point's own message as "invalid _point value"; lattice runs sample on
+    # s = k/512 and the synthetic model on s = k/256, so no subcommand takes --step
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1 and message in err

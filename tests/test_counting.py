@@ -375,6 +375,19 @@ class TestDistanceDump:
         with pytest.raises(ValidationError):
             load_distances(path, s)
 
+    def test_point_cap(self, tmp_path, monkeypatch):
+        # a file storing more values than the cap is refused from its size,
+        # before np.fromfile reads any; one at the cap loads
+        monkeypatch.setattr(counting, "DEFAULT_POINT_CAP", 4)
+        path = tmp_path / "cache.bin"
+        save_distances(path, DistanceMultiset(values=np.array([0.1, 0.2, 0.3, 0.4, 0.5]), s=1.0))
+        with monkeypatch.context() as m:
+            m.setattr(np, "fromfile", lambda *a, **k: pytest.fail("values read"))
+            with pytest.raises(MemoryBudgetExceeded, match="stores 5 values, past cap 4"):
+                load_distances(path, 1.0)
+        save_distances(path, DistanceMultiset(values=np.array([0.1, 0.2, 0.3, 0.4]), s=1.0))
+        assert load_distances(path, 1.0).values.tolist() == [0.1, 0.2, 0.3, 0.4]
+
     def test_sorted_invariant(self):
         with pytest.raises(ValidationError):
             DistanceMultiset(values=np.array([1.0, 0.5]), s=2.0)

@@ -8,7 +8,7 @@ import scipy.stats
 
 from hypcircle import constants, counting, experiments
 from hypcircle.counting import BallSpec, DistanceMultiset, list_distances
-from hypcircle.errors import ValidationError
+from hypcircle.errors import MemoryBudgetExceeded, ValidationError
 from hypcircle.experiments import (
     DistributionEstimate,
     ErrorSeries,
@@ -35,6 +35,7 @@ from hypcircle.fracint import (
 from hypcircle.geometry import Point
 from hypcircle.spectral import Amplitude, amplitude, f_alpha_sum
 from hypcircle.spectral.transforms import r_alpha
+from hypcircle.specfun import lower_incomplete_exp
 
 I = Point(0.0, 1.0)
 
@@ -62,8 +63,8 @@ class TestSampleError:
 
     def test_jump_heights(self, distances_14):
         # e jumps by (multiplicity) e^{-d/2} at each orbit distance
-        step = 1.0 / 512.0
-        err = sample_error(I, I, 14.0, step=step, distances=distances_14)
+        step = DEFAULT_STEP
+        err = sample_error(I, I, 14.0, distances=distances_14)
         d = distances_14.values
         d3 = d[d > 1e-12][0]  # acosh(1.5), multiplicity 8
         k = int(math.ceil(d3 / step))
@@ -173,16 +174,16 @@ def direct_sum_e_alpha(distances, alpha, s):
 
 class TestExactEAlpha:
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 0.75, 1.0])
-    @pytest.mark.parametrize("z, w, s_max, step", [
-        (I, I, 6.0, DEFAULT_STEP),  # d = 0 and multiplicities
-        (Point(0.2, 1.3), Point(-0.1, 0.9), 5.0, 0.003),  # s_max not a multiple of step
+    @pytest.mark.parametrize("z, w, s_max", [
+        (I, I, 6.0),  # d = 0 and multiplicities
+        (Point(0.2, 1.3), Point(-0.1, 0.9), 5.001),  # s_max not a multiple of the step
     ])
-    def test_matches_direct_sum(self, alpha, z, w, s_max, step):
+    def test_matches_direct_sum(self, alpha, z, w, s_max):
         dist = list_distances(BallSpec(z, w, s_max))
-        vals = exact_e_alpha(dist, alpha, s_max, step)
-        assert vals.size == len(sample_error(z, w, s_max, step, distances=dist).values)
+        vals = exact_e_alpha(dist, alpha, s_max)
+        assert vals.size == len(sample_error(z, w, s_max, distances=dist).values)
         idx = np.linspace(0, vals.size - 1, 33).astype(int)
-        ref = direct_sum_e_alpha(dist, alpha, step * idx)
+        ref = direct_sum_e_alpha(dist, alpha, DEFAULT_STEP * idx)
         assert np.max(np.abs(vals[idx] - ref)) <= 1e-11
 
     def test_order_one_closed_form(self, distances_14):
@@ -204,18 +205,35 @@ class TestExactEAlpha:
         assert np.max(np.abs(vals - ref)) <= 1e-11
 
     @pytest.mark.parametrize("samples", [1, 2, 3])
-    @pytest.mark.parametrize("z, w", [(I, I), (Point(0.2, 1.3), Point(-0.1, 0.9))],
+    @pytest.mark.parametrize("z, w", [(I, I), (Point(0.2, 1.3), Point(0.2, 1.302))],
                              ids=["i", "generic"])
     def test_shortest_grids(self, samples, z, w):
         # 1 and 2 samples reach no cell past the first; 3 samples reach one,
-        # which holds d = 0 (z = w = i) or d = 0.18 and 0.46 (the generic pair)
-        step = 0.6
-        s_max = step * (samples - 1) + 0.1
+        # which holds d = 0 (z = w = i) or d = 0.0015 < 1/512 (the generic pair)
+        s_max = DEFAULT_STEP * (samples - 0.9)
         dist = list_distances(BallSpec(z, w, s_max))
-        vals = exact_e_alpha(dist, 0.3, s_max, step)
+        vals = exact_e_alpha(dist, 0.3, s_max)
         assert vals.size == samples
-        ref = direct_sum_e_alpha(dist, 0.3, step * np.arange(samples))
+        ref = direct_sum_e_alpha(dist, 0.3, DEFAULT_STEP * np.arange(samples))
         assert np.max(np.abs(vals - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("z, w", [(I, I), (Point(0.2, 1.14), Point(-0.3, 1.1))],
+                             ids=["i", "generic"])
+    def test_truncation_bound(self, z, w):
+        # the docstring's bound: at s <= 9 the Chebyshev truncation moves e_alpha(s) by
+        # at most 4.5e-14 x the positive jump sum e^{-s/2}/Gamma(alpha) sum_{d<s} L(s - d),
+        # here against that sum taken directly with math.fsum at 9 samples
+        dist = list_distances(BallSpec(z, w, 9.0))
+        d = dist.values
+        first = int(d[0] / DEFAULT_STEP) + 1  # the first sample past the first distance
+        for alpha in (0.1, 0.25, 0.5, 0.75, 1.0):
+            vals = exact_e_alpha(dist, alpha, 9.0)
+            for j in np.linspace(first, vals.size - 1, 9).astype(int):
+                s = DEFAULT_STEP * j
+                jumps = (math.exp(-0.5 * s) / math.gamma(alpha)
+                         * math.fsum(lower_incomplete_exp(alpha, s - d[d < s])))
+                ref = jumps - 3.0 * frac_exp_reference(0.5, alpha, s)
+                assert abs(vals[j] - ref) <= 4.5e-14 * jumps
 
     def test_radius_zero(self):
         vals = exact_e_alpha(list_distances(BallSpec(I, I, 0.0)), 0.5, 0.0)
@@ -426,6 +444,13 @@ class TestSyntheticBlocks:
         idx = np.unique(idx[idx < n])
         ref = f_alpha_sum(amps, 0.25, step * idx)
         assert np.max(np.abs(ser.values[idx] - ref)) <= self._bound(amps, 0.25, L)
+
+    @pytest.mark.parametrize("step, error", [(0.0, ValidationError), (math.inf, ValidationError),
+                                             (1e-15, MemoryBudgetExceeded)])
+    def test_bad_step_refused(self, step, error):
+        # a step that is not positive and finite, or that gives more samples than the cap
+        with pytest.raises(error, match="step"):
+            synthetic_series([Amplitude(10.0, 1.0)], 0.5, 100.0, step=step)
 
     def test_no_terms(self):
         for amps in ([], [Amplitude(10.0, 0.0), Amplitude(12.0, 0.0)]):
@@ -638,7 +663,7 @@ class TestPreTraceSanity:
         from hypcircle.spectral.transforms import shc_direct
 
         dist = list_distances(BallSpec(I, I, 10.0))
-        err = sample_error(I, I, 10.0, step=1.0 / 64.0, distances=dist)
+        err = sample_error(I, I, 10.0, distances=dist)
         delta = 0.04
         sel = (err.grid >= 6.0) & (err.grid <= 10.0)
         svals = err.grid[sel]
